@@ -5,21 +5,25 @@ One client in a closed loop: one process, one solve at a time, default
 `solve_optimum` call (preceded by `cli.parse_lp` on LP text workloads); every
 result is judged against a reference computed before the loop (see verify.py).
 
-With `--trace 0` nothing in the package is patched. The loop cycles through
-the seeded pool until `--seconds` have passed, and each instance counts once,
-at the median time of its repeats:
+With `--trace 0` nothing in the package is patched. The loop passes over the
+whole seeded pool until `--seconds` have passed, and each instance counts once,
+at the median time of its repeats. Times are scaled to a reference host speed
+by a calibration kernel timed between blocks of solves (see calibrate.py); the
+raw wall-time figures are printed beside.
   ok_per_s      verified-correct instances / sum of their solve times (goodput)
   solve_ms.p50  median solve time; a failed instance ranks above every time,
   solve_ms.p90  so a percentile that lands on a failure reads +inf
   fail_frac     failed instances / instances, with fail.<reason> counts
   setup_s       import gutterlp + build the pool's inputs, median of fresh
-                interpreters (drawing the pool and the references is not in it)
+                interpreters, each scaled by a kernel timed in it (drawing the
+                pool and the references is not in it)
 With `--trace 1` untraced and traced passes over a fixed prefix of the pool
 alternate, giving the per-layer metrics (see layers.py) and the tracing
 overhead (traced over untraced wall time).
 
 The last line of output is one JSON object with the metrics named in
-BENCHMARK.json; the lines before it are the full report.
+BENCHMARK.json, and with `attempted` and `failed` counted in instances, so
+that they depend on the seed alone; the lines before it are the full report.
 """
 from __future__ import annotations
 
@@ -35,7 +39,7 @@ import subprocess
 import sys
 import time
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
 
@@ -45,12 +49,14 @@ import scipy
 import gutterlp
 from gutterlp import cli
 
+import calibrate
 import layers
 import verify
 import workloads
 
 HERE = Path(__file__).resolve().parent
-SETUP_PROBES = 5
+SETUP_PROBES = 7
+BLOCK_S = 0.2   # seconds of solving between two runs of the calibration kernel
 
 
 @dataclass(frozen=True)
@@ -107,9 +113,10 @@ class Run:
             samples.append(json.loads(proc.stdout.decode().splitlines()[-1]))
         return samples
 
-    @property
-    def setup_s(self) -> float:
-        return statistics.median(s["import_s"] + s["build_s"] for s in self.setup_samples)
+    def setup_s(self, reference: bool = True) -> float:
+        return statistics.median(
+            (s["import_s"] + s["build_s"]) * (calibrate.scale(s["kernel_s"]) if reference else 1.0)
+            for s in self.setup_samples)
 
     def attempt(self, k: int, trace=None):
         """Solve pool instance k % len(pool) once: (Attempt, SolveResult or None)."""
@@ -127,26 +134,35 @@ class Run:
                   else verify.judge(inst, self.check_lps[k], ref, result))
         return Attempt(inst.kind.label, seconds, reason), result
 
-    def timed(self, seconds: float) -> tuple[list[Attempt], list[Attempt]]:
-        """Cycle through the pool until the deadline: (every attempt, one per instance).
+    def timed(self, seconds: float) -> tuple[list[Attempt], list[float]]:
+        """Pass over the whole pool until the deadline: (every attempt, its scale factor).
 
-        An instance's entry takes the median time of its repeats, because other
-        tenants of a shared machine slow whole stretches of a run by up to 2x;
-        it keeps the first failure, so it counts as correct only if every
-        repeat was.
+        Only whole passes are made, ending at the pass boundary nearest the
+        deadline, so every instance is solved equally often and the attempted
+        and failed instance counts depend on the seed alone. The calibration
+        kernel runs after every BLOCK_S of solving and at the end of each pass;
+        each solve is scaled by the kernel times at the two ends of its block.
         """
         attempts: list[Attempt] = []
+        factors: list[float] = []
+        block = 0
         gc.collect()
-        deadline = time.perf_counter() + seconds
-        while not attempts or time.perf_counter() < deadline:
-            attempts.append(self.attempt(len(attempts))[0])
-        repeats: dict[int, list[Attempt]] = {}
-        for i, a in enumerate(attempts):
-            repeats.setdefault(i % len(self.pool), []).append(a)
-        instances = [Attempt(group[0].kind, statistics.median(a.seconds for a in group),
-                             next((a.reason for a in group if a.reason), None))
-                     for group in repeats.values()]
-        return attempts, instances
+        before = calibrate.kernel_seconds()
+        start = block_start = time.perf_counter()
+        deadline = start + seconds
+        passes = 0
+        while True:
+            for k in range(len(self.pool)):
+                attempts.append(self.attempt(k)[0])
+                block += 1
+                if time.perf_counter() - block_start >= BLOCK_S or k == len(self.pool) - 1:
+                    after = calibrate.kernel_seconds()
+                    factors += [calibrate.scale([before, after])] * block
+                    block, before, block_start = 0, after, time.perf_counter()
+            passes += 1
+            now = time.perf_counter()
+            if now + (now - start) / passes / 2 >= deadline:
+                return attempts, factors
 
     def traced(self, seconds: float):
         """Alternate untraced and traced passes over the pool's first trace_rounds rounds."""
@@ -174,6 +190,20 @@ class Run:
         return attempts, tracer, totals, overhead, mismatches, len(plain_walls)
 
 
+def per_instance(attempts: list[Attempt], count: int) -> list[Attempt]:
+    """One entry per instance (attempt i solved instance i % count).
+
+    An instance takes the median time of its repeats and keeps its first
+    failure, so it counts as correct only if every repeat was.
+    """
+    repeats: dict[int, list[Attempt]] = {}
+    for i, a in enumerate(attempts):
+        repeats.setdefault(i % count, []).append(a)
+    return [Attempt(group[0].kind, statistics.median(a.seconds for a in group),
+                    next((a.reason for a in group if a.reason), None))
+            for group in repeats.values()]
+
+
 def _same(a, b) -> bool:
     """Whether two solve results are identical (tracing must not change an answer)."""
     if a is None or b is None:
@@ -184,7 +214,7 @@ def _same(a, b) -> bool:
 
 
 def end_to_end(instances: list[Attempt], setup_s: float) -> dict[str, tuple[float, str]]:
-    """Metrics over the pool's instances, each at its median solve time (see Run.timed)."""
+    """Metrics over the pool's instances, each at its median solve time (see per_instance)."""
     ok = sum(a.reason is None for a in instances)
     ranked = sorted(a.seconds * 1000.0 if a.reason is None else math.inf for a in instances)
     return {
@@ -197,7 +227,7 @@ def end_to_end(instances: list[Attempt], setup_s: float) -> dict[str, tuple[floa
 
 
 NOTES = {
-    "ok_per_s": "verified-correct instances per second of their median solve times",
+    "ok_per_s": "verified-correct instances per second of their solve times",
     "solve_ms.p50": "over all instances; a failed solve ranks above every time",
     "fail_frac": "failed instances / instances",
 }
@@ -234,8 +264,10 @@ def run_workload(name: str, seed: int, seconds: float, trace: int, root: Path,
     mismatches = 0
     if trace:
         attempts, tracer, totals, overhead, mismatches, passes = run.traced(seconds)
+        prefix = workload.trace_rounds * len(workload.round)
+        instances = per_instance(attempts, prefix)
         print(f"# traced run: {passes} pairs of untraced/traced passes over the first "
-              f"{workload.trace_rounds * len(workload.round)} instances; per-solve values")
+              f"{prefix} instances; per-solve values")
         metrics.update(layers.layer_metrics(tracer, totals))
         metrics["trace_overhead"] = (overhead, "ratio")
         solve_total = totals.get("solve", (0, 0.0, 0.0))
@@ -249,33 +281,42 @@ def run_workload(name: str, seed: int, seconds: float, trace: int, root: Path,
         if mismatches:
             print(f"# TRACE MISMATCH: {mismatches} traced solves differ from their untraced twin")
     else:
-        attempts, instances = run.timed(seconds)
+        attempts, factors = run.timed(seconds)
+        size = len(run.pool)
+        instances = per_instance([replace(a, seconds=a.seconds * f)
+                                  for a, f in zip(attempts, factors)], size)
         print("# closed loop, one client, one solve at a time, default SolverConfig, trace=None;"
-              f" {len(attempts)} solves of {len(instances)} instances")
-        metrics.update(end_to_end(instances, run.setup_s))
+              f" {len(attempts)} solves of {size} instances; times at the reference speed"
+              f" (calibration kernel {calibrate.REF_S * 1000:g} ms, measured median "
+              f"{calibrate.REF_S / statistics.median(factors) * 1000:.4g} ms)")
+        metrics.update(end_to_end(instances, run.setup_s()))
+        raw = end_to_end(per_instance(attempts, size), run.setup_s(reference=False))
+        print("# raw wall time, not scaled: " + ", ".join(
+            f"{key} {_fmt(value)} {unit}" for key, (value, unit) in raw.items()
+            if key != "fail_frac"))
         samples = ", ".join(f"{s['import_s']:.3g}+{s['build_s']:.3g}" for s in run.setup_samples)
         print(f"# setup_s: median of {SETUP_PROBES} fresh interpreters, import+build s: {samples}")
 
-    judged = attempts if trace else instances
-    reasons = Counter(a.reason for a in judged if a.reason in verify.REASONS)
+    reasons = Counter(a.reason for a in instances if a.reason in verify.REASONS)
     for key, (value, unit) in metrics.items():
         note = NOTES.get(key, "")
         if key == "solve_ms.p50":
-            note += f"; n={len(judged)}, {len(judged) - math.ceil(0.9 * len(judged))} beyond p90"
+            beyond = len(instances) - math.ceil(0.9 * len(instances))
+            note += f"; n={len(instances)}, {beyond} beyond p90"
         print(f"{key:<44} {_fmt(value):>12} {unit:<8} {note}")
-    print(f"{'attempted':<44} {len(attempts):>12} solves")
+    print(f"{'attempted':<44} {len(instances):>12} instances ({len(attempts)} solves)")
     for reason in verify.REASONS:
-        print(f"{'fail.' + reason:<44} {reasons[reason]:>12} {'solves' if trace else 'instances'}")
+        print(f"{'fail.' + reason:<44} {reasons[reason]:>12} instances")
     for text, count in run.exceptions.most_common():
         print(f"# exception x{count}: {text}")
-    report_cells(judged, "solves" if trace else "instances at their median solve time")
+    report_cells(instances, "instances at their median solve time")
 
     wanted = declared["per_layer" if trace else "end_to_end"]
     correct = not run.bench_errors and not mismatches
     return {
         "correct": correct,
-        "attempted": len(attempts),
-        "failed": sum(a.reason in verify.REASONS for a in attempts),
+        "attempted": len(instances),
+        "failed": sum(a.reason in verify.REASONS for a in instances),
         "metrics": {m["name"]: {"value": metrics[m["name"]][0], "unit": m["unit"]}
                     for m in wanted},
     }

@@ -3,13 +3,16 @@
 Usage: python3 setup_probe.py <src dir> <workload>  < pickled instance pool
 
 Times `import gutterlp` (with `gutterlp.cli`) and then the building of the
-workload's inputs from the pool's arrays, and prints both as one JSON line.
-Reading the pool is not timed.
+workload's inputs from the pool's arrays, then times the calibration kernel
+(see calibrate.py) a few times, and prints all as one JSON line. Reading the
+pool is not timed.
 """
 import json
 import pickle
 import sys
 import time
+
+KERNEL_RUNS = 5
 
 
 def main() -> None:
@@ -25,7 +28,10 @@ def main() -> None:
     start = time.perf_counter()
     workloads.build_inputs(workloads.WORKLOADS[name], pool)
     build_s = time.perf_counter() - start
-    print(json.dumps({"import_s": import_s, "build_s": build_s}))
+
+    import calibrate
+    kernel_s = [calibrate.kernel_seconds() for _ in range(KERNEL_RUNS)]
+    print(json.dumps({"import_s": import_s, "build_s": build_s, "kernel_s": kernel_s}))
 
 
 if __name__ == "__main__":

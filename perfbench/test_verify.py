@@ -18,6 +18,7 @@ sys.path.insert(0, str(ROOT / "src"))
 import gutterlp  # noqa: E402
 from gutterlp import SolveResult, Verdict, testkit  # noqa: E402
 
+import bench  # noqa: E402
 import layers  # noqa: E402
 import verify  # noqa: E402
 import workloads  # noqa: E402
@@ -124,6 +125,13 @@ def test_tracer_restores_every_patch_and_reports_absent_names(monkeypatch):
     assert metrics["geometry.signed_distance.calls"][0] > 0
     assert metrics["solver.resolve_constraint.calls"][0] == \
         metrics["solver.outer_iters"][0] + metrics["solver.phase2_cycles"][0]
+
+
+def test_each_instance_counts_once_at_its_median_and_keeps_a_failure():
+    times = [(1.0, None), (5.0, None), (3.0, None), (2.0, "stalled")]
+    attempts = [bench.Attempt("cell", seconds, reason) for seconds, reason in times]
+    instances = bench.per_instance(attempts, 2)
+    assert [(a.seconds, a.reason) for a in instances] == [(2.0, None), (3.5, "stalled")]
 
 
 def _run(cwd: Path, *extra):

@@ -85,7 +85,7 @@ WORKLOADS = {
         "wide-scan", False,
         _spread((_feas(10, 200), 10), (_infeas(10, 200), 28), (_infeas(20, 200), 28),
                 (_feas(20, 200), 12), (_infeas(50, 500), 1), (_feas(50, 500), 1)),
-        rounds=2, trace_rounds=1,
+        rounds=4, trace_rounds=1,
         why="m/n >= 10 feasibility: the obstacle scan over all planes dominates, gutters stay shallow"),
     "optimize-deep": Workload(
         "optimize-deep", False,
