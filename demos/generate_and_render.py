@@ -17,8 +17,8 @@ print("certificate interior point:", instance.certificate.point,
 doc = cli.LpFileDocument(
     dimension=2,
     objective=None,
-    rows=tuple((tuple(float(x) for x in c.normal), ">=", float(c.offset))
-               for c in instance.lp.constraints),
+    rows=tuple((tuple(a), ">=", offset)
+               for a, offset in zip(instance.lp.A.tolist(), instance.lp.b.tolist())),
 )
 with open("demo_instance.lp", "w", encoding="utf-8") as handle:
     handle.write(cli.serialize_lp(doc))

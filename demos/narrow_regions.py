@@ -8,7 +8,6 @@ region empty.
 import numpy as np
 
 from gutterlp import LinearProgram, SolverConfig, solve_feasibility
-from gutterlp.geometry import signed_distance
 
 WALL = np.sqrt(17.0)
 ROWS = np.array([[-4.0 / WALL, 1.0 / WALL],   # left wall of the wedge
@@ -29,7 +28,7 @@ def run(h, label):
             print(f"    {ev.kind.value:<16} {ev.detail}")
     if result.point is not None:
         print(f"  point {np.round(result.point, 6)}, wall distances "
-              f"{[round(signed_distance(c, result.point), 6) for c in lp.constraints[:2]]}")
+              f"{np.round(lp.A[:2] @ result.point - lp.b[:2], 6).tolist()}")
     print()
 
 

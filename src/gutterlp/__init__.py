@@ -6,7 +6,6 @@ least-squares projections onto their intersections.
 """
 
 from .model import (
-    Constraint,
     DimensionMismatchError,
     Direction,
     LinearProgram,
@@ -19,7 +18,7 @@ from .model import (
     check_point,
     normalize,
 )
-from .geometry import HitRecord, Ray, first_obstacle, project_onto_intersection, ray_hit, signed_distance
+from .geometry import project_onto_intersection
 from .gram import DegenerateBasisError, DuplicateIndexError, GutterBasis
 from .solver import (
     EventKind,
@@ -36,18 +35,15 @@ from .solver import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Constraint",
     "DegenerateBasisError",
     "DimensionMismatchError",
     "Direction",
     "DuplicateIndexError",
     "EventKind",
     "GutterBasis",
-    "HitRecord",
     "InconsistentEqualityError",
     "LinearProgram",
     "Objective",
-    "Ray",
     "Sense",
     "SolveResult",
     "SolverConfig",
@@ -56,14 +52,11 @@ __all__ = [
     "Verdict",
     "ZeroNormalError",
     "check_point",
-    "first_obstacle",
     "initial_point",
     "normalize",
     "project_onto_intersection",
-    "ray_hit",
     "repair_or_conclude",
     "resolve_constraint",
-    "signed_distance",
     "solve_feasibility",
     "solve_optimum",
 ]

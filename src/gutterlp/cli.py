@@ -15,6 +15,7 @@ import argparse
 import json
 import sys
 import time
+from contextlib import ExitStack
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -42,6 +43,7 @@ EXIT_STALLED = 3
 EXIT_USAGE = 64
 EXIT_DATA = 65
 EXIT_NOINPUT = 66
+EXIT_CANTCREAT = 73
 
 _VERDICT_EXIT = {
     Verdict.FEASIBLE: EXIT_FEASIBLE,
@@ -218,6 +220,10 @@ def _build_config(args) -> SolverConfig:
     return SolverConfig(**kwargs)
 
 
+def _open_output(outputs: ExitStack, path: Optional[str]):
+    return outputs.enter_context(open(path, "w", encoding="utf-8")) if path else None
+
+
 def run_solve(args) -> int:
     try:
         text = _read_file(args.file)
@@ -255,32 +261,32 @@ def run_solve(args) -> int:
         return EXIT_USAGE
 
     events: list[TraceEvent] = []
-    trace_file = None
-    if args.trace:
-        trace_file = open(args.trace, "w", encoding="utf-8")
+    with ExitStack() as outputs:
+        # both outputs are opened before solving, so a bad path costs no solve
+        try:
+            trace_file = _open_output(outputs, args.trace)
+            svg_file = _open_output(outputs, args.svg)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_CANTCREAT
 
-    def sink(event: TraceEvent) -> None:
-        if trace_file is not None:
-            trace_file.write(_event_record(event) + "\n")
-        if args.svg:
-            events.append(event)
+        def sink(event: TraceEvent) -> None:
+            if trace_file is not None:
+                trace_file.write(_event_record(event) + "\n")
+            if svg_file is not None:
+                events.append(event)
 
-    use_sink = sink if (args.trace or args.svg) else None
-    try:
+        use_sink = sink if (trace_file is not None or svg_file is not None) else None
         if args.phase == "optimize":
             result = solve_optimum(lp, config, start=start, trace=use_sink)
         else:
             result = solve_feasibility(lp, config, start=start, trace=use_sink)
-    finally:
-        if trace_file is not None:
-            trace_file.close()
 
-    if args.svg:
-        trajectory = [np.asarray(ev.p0) for ev in events]
-        if start is not None:
-            trajectory.insert(0, start)
-        with open(args.svg, "w", encoding="utf-8") as handle:
-            handle.write(render_svg(lp, trajectory, result))
+        if svg_file is not None:
+            trajectory = [np.asarray(ev.p0) for ev in events]
+            if start is not None:
+                trajectory.insert(0, start)
+            svg_file.write(render_svg(lp, trajectory, result))
 
     print(_result_record(result))
     return _VERDICT_EXIT[result.verdict]
@@ -318,8 +324,8 @@ def run_gen(args) -> int:
         dimension=instance.lp.dimension,
         objective=None,
         rows=tuple(
-            (tuple(float(x) for x in c.normal), ">=", float(c.offset))
-            for c in instance.lp.constraints
+            (tuple(a), ">=", offset)
+            for a, offset in zip(instance.lp.A.tolist(), instance.lp.b.tolist())
         ),
     )
     with open(args.output, "w", encoding="utf-8") as handle:
@@ -382,7 +388,8 @@ def run_bench(args) -> int:
         t0 = time.perf_counter()
         result = solve_feasibility(instance.lp, config, trace=events.append)
         elapsed = time.perf_counter() - t0
-        oracle = testkit.oracle_solve(instance.lp, bound=args.bound)
+        expected = (Verdict.FEASIBLE if isinstance(instance.certificate, testkit.FeasibleInterior)
+                    else Verdict.INFEASIBLE)
 
         sound = True
         if result.verdict is Verdict.FEASIBLE:
@@ -391,9 +398,7 @@ def run_bench(args) -> int:
                                              config.feas_tol)
         if trace_problems:
             sound = False
-        agree = (result.verdict is Verdict.FEASIBLE) == (oracle.verdict is Verdict.FEASIBLE)
-        if result.verdict is Verdict.STALLED:
-            agree = False
+        agree = result.verdict is expected
 
         counts["instances"] += 1
         if result.verdict is Verdict.FEASIBLE:
@@ -410,7 +415,7 @@ def run_bench(args) -> int:
         print(json.dumps({
             "seed": seed,
             "verdict": result.verdict.value,
-            "oracle": oracle.verdict.value,
+            "expected": expected.value,
             "agree": agree,
             "sound": sound,
             "iterations": result.iterations,
@@ -471,18 +476,18 @@ def render_svg(lp: LinearProgram, trajectory: list[np.ndarray],
     ]
 
     feasible_poly = list(corners)
-    for c in lp.constraints:
-        feasible_poly = _clip_halfplane(feasible_poly, c.normal, c.offset)
+    for normal, offset in zip(lp.A, lp.b):
+        feasible_poly = _clip_halfplane(feasible_poly, normal, offset)
     if feasible_poly:
         pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in (to_px(p) for p in feasible_poly))
         parts.append(f'<polygon points="{pts}" fill="rgb(70,160,90)" fill-opacity="0.25"/>')
 
-    for idx, c in enumerate(lp.constraints):
-        half = _clip_halfplane(list(corners), c.normal, c.offset)
+    for idx, (normal, offset) in enumerate(zip(lp.A, lp.b)):
+        half = _clip_halfplane(list(corners), normal, offset)
         if half:
             pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in (to_px(p) for p in half))
             parts.append(f'<polygon points="{pts}" fill="rgb(90,120,200)" fill-opacity="0.05"/>')
-        boundary = [p for p in half if abs(float(c.normal @ p - c.offset)) < 1e-9 * max(1.0, span)]
+        boundary = [p for p in half if abs(float(normal @ p - offset)) < 1e-9 * max(1.0, span)]
         if len(boundary) >= 2:
             (x1, y1), (x2, y2) = to_px(boundary[0]), to_px(boundary[1])
             parts.append(
@@ -528,7 +533,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--start", default=None, help="comma-separated start point")
     p_solve.add_argument("--trace", default=None, help="write JSONL trace to PATH")
     p_solve.add_argument("--svg", default=None, help="write an SVG trajectory (n=2 only)")
-    p_solve.add_argument("--seed", type=int, default=0, help="accepted for record determinism")
     p_solve.set_defaults(func=run_solve)
 
     p_gen = sub.add_parser("gen", help="generate a certified random instance")
@@ -546,7 +550,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--bound", type=float, default=100.0)
     p_oracle.set_defaults(func=run_oracle)
 
-    p_bench = sub.add_parser("bench", help="solver vs oracle over a seeded batch")
+    p_bench = sub.add_parser("bench", help="solver vs generator certificate over a seeded batch")
     p_bench.add_argument("--seeds", default="1..10", help="N or A..B")
     p_bench.add_argument("--feasible", action="store_true")
     p_bench.add_argument("--infeasible", action="store_true")
@@ -554,7 +558,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("-m", type=int, default=8)
     p_bench.add_argument("--slack", type=float, default=0.1)
     p_bench.add_argument("--epsilon", type=float, default=None)
-    p_bench.add_argument("--bound", type=float, default=100.0)
     p_bench.set_defaults(func=run_bench)
 
     return parser

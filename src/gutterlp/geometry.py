@@ -1,87 +1,10 @@
-"""Stateless geometric primitives: signed distances, ray hits, plane projections."""
+"""Projection onto the intersection of the gutter planes."""
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Iterable, Optional
 
 import numpy as np
 
 from .gram import DegenerateBasisError, GutterBasis
-from .model import Constraint, DimensionMismatchError, LinearProgram, _as_vector
-
-
-@dataclass(frozen=True)
-class Ray:
-    """Half-line from `origin` along the unit vector `direction`."""
-
-    origin: np.ndarray
-    direction: np.ndarray
-
-    def __post_init__(self):
-        origin = _as_vector(self.origin, "ray origin").copy()
-        direction = _as_vector(self.direction, "ray direction").copy()
-        if origin.shape != direction.shape:
-            raise DimensionMismatchError("ray origin and direction differ in length")
-        if abs(float(np.linalg.norm(direction)) - 1.0) > 1e-9:
-            raise ValueError("ray direction must be a unit vector")
-        origin.setflags(write=False)
-        direction.setflags(write=False)
-        object.__setattr__(self, "origin", origin)
-        object.__setattr__(self, "direction", direction)
-
-    def at(self, t: float) -> np.ndarray:
-        return self.origin + t * self.direction
-
-
-@dataclass(frozen=True)
-class HitRecord:
-    constraint_index: int
-    t: float
-    point: np.ndarray
-
-
-def signed_distance(c: Constraint, p) -> float:
-    """normal . p - offset; negative means a GE constraint is violated at p."""
-    p = _as_vector(p, "point")
-    if p.shape[0] != c.normal.shape[0]:
-        raise DimensionMismatchError(
-            f"point has length {p.shape[0]}, expected {c.normal.shape[0]}"
-        )
-    return float(c.normal @ p - c.offset)
-
-
-def ray_hit(c: Constraint, ray: Ray, geom_tol: float = 1e-9) -> Optional[tuple[float, np.ndarray]]:
-    """Intersection of the ray with the constraint plane, if strictly ahead.
-
-    Returns None when the ray is (near) parallel to the plane, or when the
-    intersection parameter t is not strictly beyond geom_tol. The parallel
-    cutoff also keeps 1/cos factors in later placement math bounded.
-    """
-    slope = float(c.normal @ ray.direction)
-    if abs(slope) <= geom_tol:
-        return None
-    t = -signed_distance(c, ray.origin) / slope
-    if t <= geom_tol:
-        return None
-    return t, ray.at(t)
-
-
-def first_obstacle(
-    lp: LinearProgram,
-    candidate_indices: Iterable[int],
-    ray: Ray,
-    geom_tol: float = 1e-9,
-) -> Optional[HitRecord]:
-    """Closest plane hit by the ray among the candidates; ties go to the lowest index."""
-    best: Optional[HitRecord] = None
-    for j in sorted(set(int(i) for i in candidate_indices)):
-        hit = ray_hit(lp.constraints[j], ray, geom_tol)
-        if hit is None:
-            continue
-        t, point = hit
-        if best is None or t < best.t:
-            best = HitRecord(j, t, point)
-    return best
+from .model import DimensionMismatchError, _as_vector
 
 
 def project_onto_intersection(basis: GutterBasis, p, targets) -> np.ndarray:

@@ -22,13 +22,18 @@ class DegenerateBasisError(RuntimeError):
 
 
 class GutterBasis:
-    """Ordered unit rows (constraint index, normal, plane offset) plus (G G^T)^-1."""
+    """Ordered unit rows (constraint index, normal, plane offset) plus (G G^T)^-1.
+
+    The rows live in preallocated n x n and n buffers; normals_matrix() and
+    offsets_vector() are read-only views of their first `size` rows, valid
+    until the next reset().
+    """
 
     def __init__(self, dimension: int):
         self.dimension = int(dimension)
         self._indices: list[int] = []
-        self._normals: list[np.ndarray] = []
-        self._offsets: list[float] = []
+        self._normals = np.zeros((self.dimension, self.dimension))
+        self._offsets = np.zeros(self.dimension)
         self._gram_inv = np.zeros((0, 0))
 
     @property
@@ -44,17 +49,14 @@ class GutterBasis:
         return self._gram_inv.copy()
 
     def normals_matrix(self) -> np.ndarray:
-        if not self._normals:
-            return np.zeros((0, self.dimension))
-        return np.array(self._normals, dtype=float)
+        view = self._normals[:self.size]
+        view.setflags(write=False)
+        return view
 
     def offsets_vector(self) -> np.ndarray:
-        return np.array(self._offsets, dtype=float)
-
-    def rows(self) -> tuple[tuple[int, np.ndarray, float], ...]:
-        return tuple(
-            (i, a.copy(), b) for i, a, b in zip(self._indices, self._normals, self._offsets)
-        )
+        view = self._offsets[:self.size]
+        view.setflags(write=False)
+        return view
 
     def append_row(self, index: int, normal, offset: float = 0.0, geom_tol: float = 1e-9) -> bool:
         """Append one unit row, extending the inverse by its border.
@@ -83,8 +85,7 @@ class GutterBasis:
                 return False
             new_inv = np.array([[1.0 / pivot]])
         else:
-            G = self.normals_matrix()
-            w = G @ a
+            w = self._normals[:t] @ a
             r = self._gram_inv @ w
             pivot = float(a @ a - w @ r)
             if pivot <= geom_tol:
@@ -97,8 +98,8 @@ class GutterBasis:
             new_inv = 0.5 * (new_inv + new_inv.T)
 
         self._indices.append(index)
-        self._normals.append(a.copy())
-        self._offsets.append(float(offset))
+        self._normals[t] = a
+        self._offsets[t] = float(offset)
         self._gram_inv = new_inv
         return True
 
@@ -111,18 +112,16 @@ class GutterBasis:
             )
         if self.size == 0:
             return np.zeros(self.dimension)
-        return self.normals_matrix().T @ (self._gram_inv @ r)
+        return self._normals[:self.size].T @ (self._gram_inv @ r)
 
     def reset(self) -> None:
         self._indices = []
-        self._normals = []
-        self._offsets = []
         self._gram_inv = np.zeros((0, 0))
 
     def copy(self) -> "GutterBasis":
         dup = GutterBasis(self.dimension)
         dup._indices = list(self._indices)
-        dup._normals = [a.copy() for a in self._normals]
-        dup._offsets = list(self._offsets)
+        dup._normals = self._normals.copy()
+        dup._offsets = self._offsets.copy()
         dup._gram_inv = self._gram_inv.copy()
         return dup

@@ -1,4 +1,4 @@
-"""LP instance data model: constraints, normalization, residual checks, solver config."""
+"""LP instance data model: the row arrays, normalization, residual checks, solver config."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
@@ -52,125 +52,132 @@ def _as_vector(values, name: str = "vector") -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Constraint:
-    """One half-space (or hyperplane): normal . x  <sense>  offset.
-
-    The normal points into the feasible side for GE/GT. Solvers require unit
-    normals; use normalize() on a whole program to enforce that.
-    """
-
-    normal: np.ndarray
-    offset: float
-    sense: Sense = Sense.GE
-
-    def __post_init__(self):
-        normal = _as_vector(self.normal, "constraint normal")
-        if float(np.linalg.norm(normal)) == 0.0:
-            raise ZeroNormalError()
-        normal = normal.copy()
-        normal.setflags(write=False)
-        object.__setattr__(self, "normal", normal)
-        object.__setattr__(self, "offset", float(self.offset))
-
-    @property
-    def is_unit(self) -> bool:
-        return abs(float(np.linalg.norm(self.normal)) - 1.0) <= 1e-12
-
-
-@dataclass(frozen=True)
 class Objective:
     direction: Direction
     coefficients: np.ndarray
 
     def __post_init__(self):
         coeffs = _as_vector(self.coefficients, "objective coefficients").copy()
+        if not np.all(np.isfinite(coeffs)):
+            raise ValueError("objective coefficients must be finite")
         coeffs.setflags(write=False)
         object.__setattr__(self, "coefficients", coeffs)
 
 
-@dataclass(frozen=True)
-class LinearProgram:
-    """An LP instance: `n` variables, `m` constraints, optional linear objective.
+def _readonly(arr: np.ndarray) -> np.ndarray:
+    view = arr.view()
+    view.setflags(write=False)
+    return view
 
-    Immutable after construction; safe to share across concurrent solves.
+
+@dataclass(frozen=True, eq=False)
+class LinearProgram:
+    """An LP instance: rows A x <senses> b over n variables, optional linear objective.
+
+    Row i reads A[i] . x  senses[i]  b[i]; the normal A[i] points into the
+    feasible side for GE/GT. Solvers require unit rows; use normalize() to
+    enforce that. A and b are copied, validated and made read-only on
+    construction, so an instance is safe to share across concurrent solves.
+    `strict` and `equalities` are the boolean masks of the GT and EQ rows.
     """
 
-    dimension: int
-    constraints: tuple[Constraint, ...]
+    A: np.ndarray
+    b: np.ndarray
+    senses: Optional[tuple[Sense, ...]] = None
     objective: Optional[Objective] = None
+    strict: np.ndarray = field(init=False, repr=False)
+    equalities: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.dimension < 1:
+        A = np.array(self.A, dtype=float)
+        if A.ndim != 2:
+            raise DimensionMismatchError("constraint matrix must be a 2-d array")
+        m, n = A.shape
+        if n < 1:
             raise ValueError("dimension must be >= 1")
-        constraints = tuple(self.constraints)
-        if len(constraints) < 1:
+        if m < 1:
             raise ValueError("at least one constraint is required")
-        for i, c in enumerate(constraints):
-            if c.normal.shape[0] != self.dimension:
-                raise DimensionMismatchError(
-                    f"constraint {i} has normal of length {c.normal.shape[0]}, expected {self.dimension}"
-                )
-        if self.objective is not None and self.objective.coefficients.shape[0] != self.dimension:
-            raise DimensionMismatchError("objective length does not match dimension")
-        object.__setattr__(self, "constraints", constraints)
+        b = np.array(self.b, dtype=float).reshape(-1)
+        if b.shape[0] != m:
+            raise DimensionMismatchError(f"offsets have length {b.shape[0]}, expected {m}")
+        senses = (Sense.GE,) * m if self.senses is None else tuple(self.senses)
+        if len(senses) != m:
+            raise DimensionMismatchError(f"senses have length {len(senses)}, expected {m}")
+        bad = ~(np.all(np.isfinite(A), axis=1) & np.isfinite(b))
+        if bad.any():
+            raise ValueError(f"constraint {int(np.argmax(bad))}: coefficient or bound is not finite")
+        zero = ~np.any(A, axis=1)
+        if zero.any():
+            raise ZeroNormalError(int(np.argmax(zero)))
+        if self.objective is not None and self.objective.coefficients.shape[0] != n:
+            raise DimensionMismatchError(
+                f"objective has length {self.objective.coefficients.shape[0]}, expected {n}")
+        codes = np.array(senses, dtype=object)
+        strict, equalities = codes == Sense.GT, codes == Sense.EQ
+        unknown = ~(strict | equalities | (codes == Sense.GE))
+        if unknown.any():
+            raise ValueError(f"constraint {int(np.argmax(unknown))}: unknown sense")
+        self._store(A, b, senses, self.objective, strict, equalities)
+
+    def _store(self, A, b, senses, objective, strict, equalities) -> None:
+        for name, value in (("A", _readonly(A)), ("b", _readonly(b)), ("senses", senses),
+                            ("objective", objective), ("strict", _readonly(strict)),
+                            ("equalities", _readonly(equalities))):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _unchecked(cls, A: np.ndarray, b: np.ndarray, senses: tuple, objective: Optional[Objective],
+                   strict: np.ndarray, equalities: np.ndarray) -> "LinearProgram":
+        """Wrap arrays already known to be valid and consistent, without copying them.
+
+        The program holds read-only views, so whoever owns A and b may still
+        update them in place; phase II moves its artificial offset that way.
+        """
+        lp = object.__new__(cls)
+        lp._store(A, b, senses, objective, strict, equalities)
+        return lp
 
     @classmethod
     def from_arrays(cls, normals, offsets, senses=None, objective: Objective | None = None) -> "LinearProgram":
         """Build from a dense row matrix; raises ZeroNormalError with the row index."""
-        normals = np.asarray(normals, dtype=float)
-        if normals.ndim != 2:
-            raise DimensionMismatchError("normals must be a 2-d array")
-        offsets = np.asarray(offsets, dtype=float).reshape(-1)
-        m, n = normals.shape
-        if offsets.shape[0] != m:
-            raise DimensionMismatchError("offsets length does not match row count")
-        if senses is None:
-            senses = [Sense.GE] * m
-        rows = []
-        for i in range(m):
-            try:
-                rows.append(Constraint(normals[i], offsets[i], senses[i]))
-            except ZeroNormalError:
-                raise ZeroNormalError(i) from None
-        return cls(n, tuple(rows), objective)
+        return cls(normals, offsets, senses, objective)
+
+    @property
+    def dimension(self) -> int:
+        return self.A.shape[1]
 
     @property
     def num_constraints(self) -> int:
-        return len(self.constraints)
+        return self.A.shape[0]
 
     @property
     def is_normalized(self) -> bool:
-        return all(c.is_unit for c in self.constraints)
+        return bool(np.all(np.abs(np.linalg.norm(self.A, axis=1) - 1.0) <= 1e-12))
 
     def matrix(self) -> np.ndarray:
-        return np.array([c.normal for c in self.constraints], dtype=float)
+        return self.A.copy()
 
     def offsets(self) -> np.ndarray:
-        return np.array([c.offset for c in self.constraints], dtype=float)
+        return self.b.copy()
+
+    def satisfied(self, d: np.ndarray, feas_tol: float) -> np.ndarray:
+        """Per-row mask: whether the signed distances d = A p - b meet each row's sense."""
+        return np.where(self.equalities, np.abs(d) <= feas_tol,
+                        np.where(self.strict, d > feas_tol, d >= -feas_tol))
 
 
 def normalize(lp: LinearProgram, geom_tol: float = 1e-9) -> LinearProgram:
-    """Rescale every constraint so its normal has unit Euclidean norm.
+    """Rescale every row so its normal has unit Euclidean norm.
 
-    The satisfaction set of each constraint is unchanged (both sides are
-    divided by a positive number). Idempotent.
+    The satisfaction set of each row is unchanged (both sides are divided by
+    a positive number). Idempotent up to rounding.
     """
-    rows = []
-    for i, c in enumerate(lp.constraints):
-        norm = float(np.linalg.norm(c.normal))
-        if norm <= geom_tol:
-            raise ZeroNormalError(i)
-        rows.append(Constraint(c.normal / norm, c.offset / norm, c.sense))
-    return LinearProgram(lp.dimension, tuple(rows), lp.objective)
-
-
-def sense_satisfied(sense: Sense, distance: float, feas_tol: float) -> bool:
-    """Whether a single signed distance satisfies its constraint sense."""
-    if sense is Sense.GE:
-        return distance >= -feas_tol
-    if sense is Sense.GT:
-        return distance > feas_tol
-    return abs(distance) <= feas_tol
+    norms = np.linalg.norm(lp.A, axis=1)
+    short = norms <= geom_tol
+    if short.any():
+        raise ZeroNormalError(int(np.argmax(short)))
+    return LinearProgram._unchecked(lp.A / norms[:, None], lp.b / norms, lp.senses, lp.objective,
+                                    lp.strict, lp.equalities)
 
 
 def check_point(lp: LinearProgram, p, feas_tol: float = 1e-8) -> bool:
@@ -178,11 +185,7 @@ def check_point(lp: LinearProgram, p, feas_tol: float = 1e-8) -> bool:
     p = _as_vector(p, "point")
     if p.shape[0] != lp.dimension:
         raise DimensionMismatchError(f"point has length {p.shape[0]}, expected {lp.dimension}")
-    for c in lp.constraints:
-        d = float(c.normal @ p - c.offset)
-        if not sense_satisfied(c.sense, d, feas_tol):
-            return False
-    return True
+    return bool(np.all(lp.satisfied(lp.A @ p - lp.b, feas_tol)))
 
 
 @dataclass

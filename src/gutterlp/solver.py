@@ -18,10 +18,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .geometry import Ray, project_onto_intersection, signed_distance
+from .geometry import project_onto_intersection
 from .gram import GutterBasis
 from .model import (
-    Constraint,
     DimensionMismatchError,
     Direction,
     LinearProgram,
@@ -32,7 +31,6 @@ from .model import (
     _as_vector,
     check_point,
     normalize,
-    sense_satisfied,
 )
 
 
@@ -102,8 +100,8 @@ def _emit(trace: TraceSink, state: SolverState, kind: EventKind, detail: str = "
     trace(TraceEvent(
         iteration=state.inner_iter,
         kind=kind,
-        p0=tuple(float(x) for x in state.p0),
-        dir=tuple(float(x) for x in d) if d is not None else tuple([0.0] * state.p0.shape[0]),
+        p0=tuple(state.p0.tolist()),
+        dir=tuple(d.tolist()) if d is not None else (0.0,) * state.p0.shape[0],
         gutter_indices=state.gutter.indices,
         detail=detail,
     ))
@@ -116,7 +114,7 @@ def initial_point(lp: LinearProgram, geom_tol: float = 1e-9, feas_tol: float = 1
     an equality left unsatisfied by the projection means the equalities are
     contradictory and InconsistentEqualityError is raised.
     """
-    eq_indices = [i for i, c in enumerate(lp.constraints) if c.sense is Sense.EQ]
+    eq_indices = np.flatnonzero(lp.equalities).tolist()
     origin = np.zeros(lp.dimension)
     if not eq_indices:
         return origin
@@ -133,22 +131,16 @@ def _project_onto_planes(lp: LinearProgram, indices, p, geom_tol: float,
     Returns (point, consistent); consistent is False when a dropped dependent
     row is not satisfied by the projection, i.e. the planes have no common point.
     """
-    basis = GutterBasis(lp.dimension)
-    for i in sorted(indices):
-        c = lp.constraints[i]
-        basis.append_row(i, c.normal, c.offset, geom_tol)
+    rows = sorted(indices)
+    basis = _pinned_basis(lp, rows, geom_tol)
     q = project_onto_intersection(basis, p, np.zeros(basis.size))
-    for i in sorted(indices):
-        if abs(signed_distance(lp.constraints[i], q)) > 10 * feas_tol:
-            return q, False
-    return q, True
+    return q, bool(np.all(np.abs(lp.A[rows] @ q - lp.b[rows]) <= 10 * feas_tol))
 
 
-def _pinned_basis(lp: LinearProgram, pinned: set[int], geom_tol: float) -> GutterBasis:
+def _pinned_basis(lp: LinearProgram, pinned, geom_tol: float) -> GutterBasis:
     basis = GutterBasis(lp.dimension)
     for i in sorted(pinned):
-        c = lp.constraints[i]
-        basis.append_row(i, c.normal, c.offset, geom_tol)
+        basis.append_row(i, lp.A[i], lp.b[i], geom_tol)
     return basis
 
 
@@ -163,14 +155,14 @@ def _slide_direction(lp: LinearProgram, basis: GutterBasis, p0: np.ndarray,
     For a strict target sitting on its own plane the remaining travel is the
     gap up to the epsilon standoff instead of the plane distance.
     """
-    a = lp.constraints[target].normal
+    a = lp.A[target]
     if basis.size == 0:
         proj = a.copy()
     else:
         G = basis.normals_matrix()
         proj = a - basis.correction(G @ a)
     norm = float(np.linalg.norm(proj))
-    d = signed_distance(lp.constraints[target], p0)
+    d = float(a @ p0 - lp.b[target])
     travel = abs(d) if d < 0 else max(epsilon - d, 0.0)
     slope = travel * norm
     if norm <= geom_tol or slope <= geom_tol:
@@ -191,40 +183,38 @@ def _slide_direction(lp: LinearProgram, basis: GutterBasis, p0: np.ndarray,
     return direction, slope
 
 
-def _satisfied_snapshot(lp: LinearProgram, state: SolverState, config: SolverConfig) -> list[int]:
-    out = []
-    for j, c in enumerate(lp.constraints):
-        if j == state.target_index or j in state.pinned_eq:
-            continue
-        if sense_satisfied(c.sense, signed_distance(c, state.p0), config.feas_tol):
-            out.append(j)
-    return out
-
-
 def resolve_constraint(lp: LinearProgram, state: SolverState, config: SolverConfig,
                        trace: TraceSink = None) -> tuple[ResolveOutcome, str]:
     """Drive the ball until the target constraint is satisfied or progress dies.
 
     Expects state.target_index violated at state.p0 and state.gutter holding
     only the pinned equality rows. Mutates state in place.
+
+    The planes that can stop the ball are the rows satisfied when the cycle
+    starts, less the target, the pinned and gutter rows, and rows whose
+    append was degenerate (until the next successful append). Each step
+    scans all of them at once: the first plane hit is the least hit time t,
+    ties going to the lowest index, the target included.
     """
     i = state.target_index
-    target = lp.constraints[i]
+    A, b = lp.A, lp.b
     eps = state.epsilon
     geom_tol = config.geom_tol
     feas_tol = config.feas_tol
 
-    satisfied = _satisfied_snapshot(lp, state, config)
+    open_rows = lp.satisfied(A @ state.p0 - b, feas_tol)
+    open_rows[[i, *state.pinned_eq, *state.gutter.indices]] = False
     direction, _ = _slide_direction(lp, state.gutter, state.p0, i, geom_tol, eps)
     if direction is None:
         _emit(trace, state, EventKind.STALL, "no-slope at cycle start", dir_vec=np.zeros(lp.dimension))
         return ResolveOutcome.STALL, "no-slope"
     state.dir = direction
-    skip: set[int] = set()
+    skipped: list[int] = []
     inner_cap = config.inner_cap(lp)
 
     while True:
-        if sense_satisfied(target.sense, signed_distance(target, state.p0), feas_tol):
+        d = A @ state.p0 - b
+        if lp.satisfied(d, feas_tol)[i]:
             _emit(trace, state, EventKind.RESOLVED, f"target={i}")
             return ResolveOutcome.RESOLVED, "resolved"
         if state.gutter.size >= lp.dimension:
@@ -238,79 +228,54 @@ def resolve_constraint(lp: LinearProgram, state: SolverState, config: SolverConf
                   dir_vec=np.zeros(lp.dimension))
             return ResolveOutcome.STALL, "inner-iteration-cap"
 
-        ray = Ray(state.p0, state.dir)
-        in_gutter = set(state.gutter.indices)
-        hits: list[tuple[float, int, float]] = []
-        for j in satisfied:
-            if j in in_gutter or j in skip:
-                continue
-            c = lp.constraints[j]
-            slope_j = float(c.normal @ state.dir)
-            if abs(slope_j) <= geom_tol:
-                continue
-            t = -signed_distance(c, state.p0) / slope_j
-            if t > geom_tol:
-                hits.append((t, j, slope_j))
-        slope_i = float(target.normal @ state.dir)
-        d_i = signed_distance(target, state.p0)
+        slope = A @ state.dir
+        hit = open_rows & (np.abs(slope) > geom_tol)
+        t = np.full(d.shape, np.inf)
+        t[hit] = -d[hit] / slope[hit]
+        t[t <= geom_tol] = np.inf
+        d_i, slope_i = d[i], slope[i]
         if abs(slope_i) > geom_tol:
-            if d_i < -feas_tol:
-                t = -d_i / slope_i
-            else:
-                # strict target on its own plane: travel to the epsilon standoff
-                t = (eps - d_i) / slope_i
-            if t > geom_tol:
-                hits.append((t, i, slope_i))
-        if not hits:
+            # a violated target is hit at its plane; a strict target already on
+            # its plane is hit at the epsilon standoff
+            t_i = (-d_i if d_i < -feas_tol else eps - d_i) / slope_i
+            if t_i > geom_tol:
+                t[i] = t_i
+        j = int(np.argmin(t))
+        t_first = t[j]
+        if t_first == np.inf:
             _emit(trace, state, EventKind.STALL, "unbounded-ray")
             return ResolveOutcome.STALL, "unbounded-ray"
 
-        hits.sort(key=lambda h: (h[0], h[1]))
-        t_first, j_first, slope_first = hits[0]
-
-        if j_first == i:
+        if j == i:
             # the target comes first: land at the epsilon standoff past its plane,
-            # stopping early on any satisfied plane crossed on the way
-            if d_i < -feas_tol:
-                t_end = t_first + (eps / slope_first if eps > 0 else 0.0)
-            else:
-                t_end = t_first
-            for t_j, j, slope_j in hits[1:]:
-                if j != i and slope_j < 0 and t_j < t_end:
-                    t_end = t_j
-                    break
-            moved = ray.at(t_end)
-            if not np.array_equal(moved, state.p0):
-                state.p0 = moved
-                _emit(trace, state, EventKind.MOVE, f"advance t={t_end:.9e}")
+            # stopping early on any open plane crossed on the way
+            t_end = t_first
+            if d_i < -feas_tol and eps > 0:
+                t_end += eps / slope_i
+            t[i] = np.inf
+            t_end = min(t_end, np.min(t, where=slope < 0, initial=np.inf))
+            _advance(state, t_end, trace)
             continue
 
-        j = j_first
-        c_j = lp.constraints[j]
-        d_j = signed_distance(c_j, state.p0)
-        if d_j > eps + feas_tol:
+        slope_j = abs(slope[j])
+        if d[j] > eps + feas_tol:
             # far obstacle: retreat along the ray to an epsilon standoff, keep direction
-            t_back = t_first - eps / abs(slope_first)
-            moved = ray.at(t_back)
-            if not np.array_equal(moved, state.p0):
-                state.p0 = moved
-                _emit(trace, state, EventKind.MOVE, f"advance t={t_back:.9e}")
+            _advance(state, t_first - eps / slope_j, trace)
             _emit(trace, state, EventKind.OBSTACLE_BACKOFF, f"obstacle={j}")
             continue
 
         # near obstacle: it touches the ball; put the center at the epsilon
         # standoff on the ray (never moving backward) and add it to the gutter
-        t_place = t_first - (eps / abs(slope_first) if eps > 0 else 0.0)
+        t_place = t_first - (eps / slope_j if eps > 0 else 0.0)
         if t_place > 0:
-            moved = ray.at(t_place)
-            if not np.array_equal(moved, state.p0):
-                state.p0 = moved
-                _emit(trace, state, EventKind.MOVE, f"advance t={t_place:.9e}")
-        appended = state.gutter.append_row(j, c_j.normal, c_j.offset, geom_tol)
-        if not appended:
-            skip.add(j)
+            _advance(state, t_place, trace)
+        open_rows[j] = False
+        if not state.gutter.append_row(j, A[j], b[j], geom_tol):
+            skipped.append(j)
             _emit(trace, state, EventKind.GUTTER_SKIP_DEGENERATE, f"plane={j}")
             continue
+        open_rows[skipped] = True
+        skipped.clear()
         if state.gutter.size >= lp.dimension:
             _emit(trace, state, EventKind.GUTTER_APPEND, f"plane={j}",
                   dir_vec=np.zeros(lp.dimension))
@@ -323,8 +288,15 @@ def resolve_constraint(lp: LinearProgram, state: SolverState, config: SolverConf
                   dir_vec=np.zeros(lp.dimension))
             return ResolveOutcome.STALL, "no-slope"
         state.dir = direction
-        skip.clear()
         _emit(trace, state, EventKind.GUTTER_APPEND, f"plane={j}")
+
+
+def _advance(state: SolverState, t: float, trace: TraceSink) -> None:
+    """Move the center t along the current direction; a MOVE event when it changed."""
+    moved = state.p0 + t * state.dir
+    if not np.array_equal(moved, state.p0):
+        state.p0 = moved
+        _emit(trace, state, EventKind.MOVE, f"advance t={t:.9e}")
 
 
 def repair_or_conclude(lp: LinearProgram, state: SolverState, config: SolverConfig,
@@ -338,12 +310,13 @@ def repair_or_conclude(lp: LinearProgram, state: SolverState, config: SolverConf
     Anything else leaves no way forward.
     """
     i = state.target_index
-    target = lp.constraints[i]
+    A, b = lp.A, lp.b
     feas_tol = config.feas_tol
     basis = state.gutter
 
     origin_at = project_onto_intersection(basis, state.p0, np.zeros(basis.size))
-    d_target_o = signed_distance(target, origin_at)
+    d_origin = A @ origin_at - b
+    d_target_o = float(d_origin[i])
 
     if abs(d_target_o) <= feas_tol:
         new_pinned = set(state.pinned_eq) | {i} | set(basis.indices)
@@ -356,25 +329,20 @@ def repair_or_conclude(lp: LinearProgram, state: SolverState, config: SolverConf
               f"pinned={sorted(new_pinned)}", dir_vec=np.zeros(lp.dimension))
         return RepairOutcome.EQUALITY_MODE
 
-    others_ok = True
-    for k, c in enumerate(lp.constraints):
-        if k == i:
-            continue
-        if not sense_satisfied(c.sense, signed_distance(c, origin_at), feas_tol):
-            others_ok = False
-            break
+    others_ok = lp.satisfied(d_origin, feas_tol)
+    others_ok[i] = True
 
-    if others_ok and d_target_o > feas_tol:
-        d_target_p = signed_distance(target, state.p0)
+    if others_ok.all() and d_target_o > feas_tol:
+        d_target_p = float(A[i] @ state.p0 - b[i])
         if d_target_p >= -feas_tol:
             return RepairOutcome.FAILED
-        appended = [(idx, a, b) for idx, a, b in basis.rows() if idx not in state.pinned_eq]
+        appended = [k for k in basis.indices if k not in state.pinned_eq]
         if not appended:
             return RepairOutcome.FAILED
         s = d_target_o / (d_target_o - d_target_p)
         crossing = origin_at + s * (state.p0 - origin_at)
         center = 0.5 * (origin_at + crossing)
-        new_eps = min(float(a @ center - b) for _, a, b in appended)
+        new_eps = float(np.min(A[appended] @ center - b[appended]))
         if new_eps <= config.geom_tol:
             return RepairOutcome.FAILED
         state.epsilon = new_eps
@@ -386,20 +354,11 @@ def repair_or_conclude(lp: LinearProgram, state: SolverState, config: SolverConf
     return RepairOutcome.INFEASIBLE
 
 
-def _violations(lp: LinearProgram, p: np.ndarray, feas_tol: float) -> list[tuple[int, float]]:
-    out = []
-    for j, c in enumerate(lp.constraints):
-        d = signed_distance(c, p)
-        if not sense_satisfied(c.sense, d, feas_tol):
-            out.append((j, d))
-    return out
-
-
 def _solve_feasibility_state(lp: LinearProgram, config: SolverConfig,
                              start, trace: TraceSink) -> tuple[SolveResult, SolverState]:
-    lp = normalize(lp, config.geom_tol)
+    """Phase I on an already normalized program."""
     diagnostics: list[str] = []
-    pinned = {i for i, c in enumerate(lp.constraints) if c.sense is Sense.EQ}
+    pinned = set(np.flatnonzero(lp.equalities).tolist())
 
     if start is None:
         try:
@@ -433,20 +392,21 @@ def _solve_feasibility_state(lp: LinearProgram, config: SolverConfig,
             diagnostics.append("outer-iteration-cap")
             return _result(Verdict.STALLED, state, diagnostics), state
 
-        violated = _violations(lp, state.p0, config.feas_tol)
-        if not violated:
+        d = lp.A @ state.p0 - lp.b
+        violated = ~lp.satisfied(d, config.feas_tol)
+        if not violated.any():
             return _result(Verdict.FEASIBLE, state, diagnostics, point=state.p0), state
 
-        selectable = [(d, j) for j, d in violated if j not in state.pinned_eq]
-        if not selectable:
+        violated[list(state.pinned_eq)] = False
+        if not violated.any():
             diagnostics.append("all violated constraints are pinned equalities")
             return _result(Verdict.STALLED, state, diagnostics), state
-        _, target = min(selectable, key=lambda item: (item[0], item[1]))
+        # the most violated row; argmin breaks ties by the lowest index
+        target = int(np.argmin(np.where(violated, d, np.inf)))
         state.target_index = target
         state.gutter = _pinned_basis(lp, state.pinned_eq, config.geom_tol)
         state.dir = None
-        _emit(trace, state, EventKind.SELECT_TARGET,
-              f"target={target} distance={dict((j, d) for j, d in violated)[target]:.9e}",
+        _emit(trace, state, EventKind.SELECT_TARGET, f"target={target} distance={d[target]:.9e}",
               dir_vec=np.zeros(lp.dimension))
 
         outcome, detail = resolve_constraint(lp, state, config, trace)
@@ -484,7 +444,7 @@ def solve_feasibility(lp: LinearProgram, config: Optional[SolverConfig] = None,
                       start=None, trace: TraceSink = None) -> SolveResult:
     """Search for any point satisfying all constraints."""
     config = config or SolverConfig()
-    result, _ = _solve_feasibility_state(lp, config, start, trace)
+    result, _ = _solve_feasibility_state(normalize(lp, config.geom_tol), config, start, trace)
     return result
 
 
@@ -501,14 +461,14 @@ def solve_optimum(lp: LinearProgram, config: Optional[SolverConfig] = None,
     if lp.objective is None:
         raise ValueError("solve_optimum requires an objective")
     config = config or SolverConfig()
-    lp_norm = normalize(lp, config.geom_tol)
+    lp = normalize(lp, config.geom_tol)
 
-    phase1, state = _solve_feasibility_state(lp_norm, config, start, trace)
+    phase1, state = _solve_feasibility_state(lp, config, start, trace)
     if phase1.verdict is not Verdict.FEASIBLE:
         return phase1
 
-    c = lp_norm.objective.coefficients
-    work_c = c if lp_norm.objective.direction is Direction.MAX else -c
+    c = lp.objective.coefficients
+    work_c = c if lp.objective.direction is Direction.MAX else -c
     norm_c = float(np.linalg.norm(work_c))
     diagnostics = list(phase1.diagnostics)
     if norm_c <= config.geom_tol:
@@ -517,11 +477,16 @@ def solve_optimum(lp: LinearProgram, config: Optional[SolverConfig] = None,
                        objective_value=float(c @ state.p0))
     c_hat = work_c / norm_c
 
-    m = lp_norm.num_constraints
+    m = lp.num_constraints
     big_m = float(c_hat @ state.p0 + max(1.0, float(np.linalg.norm(state.p0))) * config.big_M_growth)
+    # the artificial row c_hat . x >= M is stacked once; each cycle only rewrites its offset
+    offsets = np.append(lp.b, big_m)
+    lp_aug = LinearProgram._unchecked(np.vstack([lp.A, c_hat]), offsets, lp.senses + (Sense.GE,),
+                                      lp.objective, np.append(lp.strict, False),
+                                      np.append(lp.equalities, False))
     escalations = 0
     cycles = 0
-    cycle_cap = config.outer_cap(lp_norm)
+    cycle_cap = config.outer_cap(lp)
     best_point: Optional[np.ndarray] = None
     best_height = -math.inf
     last_stall_height: Optional[float] = None
@@ -529,16 +494,12 @@ def solve_optimum(lp: LinearProgram, config: Optional[SolverConfig] = None,
 
     while cycles < cycle_cap:
         cycles += 1
-        lp_aug = LinearProgram(
-            lp_norm.dimension,
-            lp_norm.constraints + (Constraint(c_hat, big_m, Sense.GE),),
-            lp_norm.objective,
-        )
+        offsets[m] = big_m
         state.target_index = m
-        state.gutter = _pinned_basis(lp_norm, state.pinned_eq, config.geom_tol)
+        state.gutter = _pinned_basis(lp, state.pinned_eq, config.geom_tol)
         state.dir = None
         _emit(trace, state, EventKind.SELECT_TARGET,
-              f"target={m} artificial M={big_m:.9e}", dir_vec=np.zeros(lp_norm.dimension))
+              f"target={m} artificial M={big_m:.9e}", dir_vec=np.zeros(lp.dimension))
         outcome, detail = resolve_constraint(lp_aug, state, config, trace)
 
         if outcome is ResolveOutcome.RESOLVED:
@@ -549,7 +510,7 @@ def solve_optimum(lp: LinearProgram, config: Optional[SolverConfig] = None,
             big_m *= config.big_M_growth
             last_stall_height = None
             _emit(trace, state, EventKind.M_ESCALATION, f"M={big_m:.9e}",
-                  dir_vec=np.zeros(lp_norm.dimension))
+                  dir_vec=np.zeros(lp.dimension))
             continue
 
         # stalled or full gutter: take the gutter intersection as an optimum
@@ -557,7 +518,7 @@ def solve_optimum(lp: LinearProgram, config: Optional[SolverConfig] = None,
         # repeats without objective progress is the stopping condition
         last_detail = detail
         optimum = project_onto_intersection(state.gutter, state.p0, np.zeros(state.gutter.size))
-        if check_point(lp_norm, optimum, config.feas_tol):
+        if check_point(lp, optimum, config.feas_tol):
             height = float(c_hat @ optimum)
             if height > best_height:
                 best_height = height

@@ -111,7 +111,7 @@ def oracle_solve(lp: LinearProgram, bound: float = 100.0,
 
     planes = np.vstack([lp.matrix(), np.eye(n), -np.eye(n)])
     rhs = np.concatenate([lp.offsets(), np.full(n, -bound), np.full(n, -bound)])
-    senses = [c.sense for c in lp.constraints] + [Sense.GE] * (2 * n)
+    senses = list(lp.senses) + [Sense.GE] * (2 * n)
 
     vertices = _enumerate_vertices(planes, rhs, senses, n)
     if vertices.shape[0] == 0:
@@ -244,7 +244,7 @@ def check_trace(lp: LinearProgram, events: Sequence[TraceEvent], epsilon: float,
     n = lp.dimension
     matrix = lp.matrix()
     offsets = lp.offsets()
-    senses = [c.sense for c in lp.constraints]
+    senses = lp.senses
 
     current_eps = float(epsilon)
     current_target: Optional[int] = None
@@ -312,8 +312,7 @@ def monotone_approach_violations(lp: LinearProgram, events: Sequence[TraceEvent]
             continue
         if ev.kind is not EventKind.MOVE or current_target is None or current_target >= m:
             continue
-        c = lp.constraints[current_target]
-        d = float(c.normal @ np.asarray(ev.p0) - c.offset)
+        d = float(lp.A[current_target] @ np.asarray(ev.p0) - lp.b[current_target])
         if last_d is not None and d < last_d - tol:
             problems.append(
                 f"event {k}: target distance fell from {last_d:.3e} to {d:.3e}")

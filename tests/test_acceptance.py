@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from gutterlp import cli, testkit
-from gutterlp.geometry import project_onto_intersection, signed_distance
+from gutterlp.geometry import project_onto_intersection
 from gutterlp.gram import GutterBasis
 from gutterlp.model import (
     Direction,
@@ -259,8 +259,7 @@ def test_criterion_08_repair_fixtures():
     pinned = solve_feasibility(lp, CONFIG, start=start, trace=events.append)
     assert pinned.verdict is Verdict.FEASIBLE
     assert any(e.kind is EventKind.EQUALITY_SWITCH for e in events)
-    for c in lp.constraints:
-        assert abs(signed_distance(c, pinned.point)) <= 1e-8
+    assert np.max(np.abs(lp.A @ pinned.point - lp.b)) <= 1e-8
 
     lp = LinearProgram.from_arrays(rows, np.array([0.0, 0.0, 0.02]))
     separated = solve_feasibility(lp, CONFIG, start=start)
@@ -281,7 +280,7 @@ def test_criterion_09_one_dimensional_infeasibility():
 
 
 def test_criterion_10_determinism(tmp_path, capsys):
-    """Identical (file, flags, seed) runs produce byte-identical records and traces."""
+    """Identical (file, flags) runs produce byte-identical records and traces."""
     path = tmp_path / "inst.lp"
     code = cli.main(["gen", "--feasible", "-n", "4", "-m", "10", "--slack", "0.12",
                      "--seed", "33", "-o", str(path)])
@@ -292,7 +291,7 @@ def test_criterion_10_determinism(tmp_path, capsys):
     for run in range(2):
         trace_path = tmp_path / f"t{run}.jsonl"
         code = cli.main(["solve", str(path), "--epsilon", "0.01",
-                         "--trace", str(trace_path), "--seed", "9"])
+                         "--trace", str(trace_path)])
         assert code == 0
         records.append(capsys.readouterr().out)
         traces.append(trace_path.read_bytes())

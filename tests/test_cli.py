@@ -17,15 +17,15 @@ class TestParse:
     def test_le_rows_flip_to_ge(self):
         lp = cli.parse_lp(BOX_MAX)
         assert lp.dimension == 2
-        assert np.allclose(lp.constraints[0].normal, [-1.0, 0.0])
-        assert lp.constraints[0].offset == pytest.approx(-2.0)
-        assert lp.constraints[0].sense is Sense.GE
+        assert np.allclose(lp.A[0], [-1.0, 0.0])
+        assert lp.b[0] == pytest.approx(-2.0)
+        assert lp.senses[0] is Sense.GE
         assert lp.objective is not None
 
     def test_normalization_applied(self):
         lp = cli.parse_lp("vars 1\nc 3 >= 6\n")
-        assert np.allclose(lp.constraints[0].normal, [1.0])
-        assert lp.constraints[0].offset == pytest.approx(2.0)
+        assert np.allclose(lp.A[0], [1.0])
+        assert lp.b[0] == pytest.approx(2.0)
 
     def test_coefficient_count_checked(self):
         with pytest.raises(cli.LpFormatError):
@@ -37,7 +37,7 @@ class TestParse:
 
     def test_strict_and_equality_ops(self):
         lp = cli.parse_lp("vars 1\nc 1 > 0\nc 1 = 2\nc -1 < 3\n")
-        assert [c.sense for c in lp.constraints] == [Sense.GT, Sense.EQ, Sense.GT]
+        assert lp.senses == (Sense.GT, Sense.EQ, Sense.GT)
 
     def test_unknown_directive(self):
         with pytest.raises(cli.LpFormatError):
@@ -122,6 +122,35 @@ class TestSolveCommand:
         assert text.startswith("<svg")
         assert "polyline" in text
 
+    @pytest.mark.parametrize("text", [
+        "vars 2\nc nan 0 >= 1\n",
+        "vars 2\nc 1 inf >= 1\n",
+        "vars 2\nc 1 0 >= inf\n",
+        "vars 2\nc 1 0 >= -nan\n",
+        "vars 2\nobjective max nan 1\nc 1 0 >= 1\n",
+        "vars 2\nobjective min 1 -inf\nc 1 0 >= 1\n",
+    ])
+    def test_non_finite_data_is_a_data_error(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.lp"
+        path.write_text(text)
+        code = cli.main(["solve", str(path)])
+        captured = capsys.readouterr()
+        assert code == 65
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("flag", ["--trace", "--svg"])
+    def test_unwritable_output_path(self, tmp_path, capsys, flag):
+        path = tmp_path / "two.lp"
+        path.write_text(TWO_PLANE)
+        code = cli.main(["solve", str(path), flag, str(tmp_path / "missing" / "out")])
+        captured = capsys.readouterr()
+        assert code == 73
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
     def test_svg_rejected_for_other_dims(self, tmp_path, capsys):
         path = tmp_path / "one.lp"
         path.write_text("vars 1\nc 1 >= 0\n")
@@ -185,6 +214,21 @@ class TestGenOracleBench:
         assert aggregate["unsound"] == 0
         assert all(r["sound"] for r in records[:-1])
 
+    def test_bench_beyond_oracle_scale_judged_by_certificate(self, capsys):
+        code = cli.main(["bench", "--feasible", "-n", "10", "-m", "30", "--seeds", "1..2"])
+        out = capsys.readouterr().out.strip().splitlines()
+        assert code == 0
+        records = [json.loads(line) for line in out]
+        assert len(records) == 3
+        assert [r["expected"] for r in records[:2]] == ["FEASIBLE", "FEASIBLE"]
+        assert all(r["agree"] is (r["verdict"] == "FEASIBLE") for r in records[:2])
+        assert records[-1]["instances"] == 2
+
+    def test_bench_bound_flag_removed(self, capsys):
+        code = cli.main(["bench", "--feasible", "--bound", "1"])
+        capsys.readouterr()
+        assert code == 64
+
     def test_bench_infeasible_batch(self, capsys):
         code = cli.main(["bench", "--infeasible", "--seeds", "1..4", "-n", "2", "-m", "4"])
         out = capsys.readouterr().out.strip().splitlines()
@@ -204,7 +248,7 @@ class TestDeterminism:
         traces = []
         for run in range(2):
             trace_path = tmp_path / f"trace{run}.jsonl"
-            code = cli.main(["solve", str(path), "--trace", str(trace_path), "--seed", "5"])
+            code = cli.main(["solve", str(path), "--trace", str(trace_path)])
             assert code == 0
             outputs.append(capsys.readouterr().out)
             traces.append(trace_path.read_bytes())

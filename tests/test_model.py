@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from gutterlp.model import (
-    Constraint,
     DimensionMismatchError,
     Direction,
     LinearProgram,
@@ -23,15 +22,14 @@ def make_lp(rows, offsets, senses=None, objective=None):
 class TestNormalize:
     def test_divides_by_row_norm(self):
         lp = normalize(make_lp([[3.0, 4.0]], [10.0]))
-        c = lp.constraints[0]
-        assert np.allclose(c.normal, [0.6, 0.8])
-        assert c.offset == pytest.approx(2.0)
-        assert c.sense is Sense.GE
+        assert np.allclose(lp.A[0], [0.6, 0.8])
+        assert lp.b[0] == pytest.approx(2.0)
+        assert lp.senses[0] is Sense.GE
 
     def test_unit_rows_unchanged(self):
         lp = normalize(make_lp([[1.0, 0.0]], [1.0]))
-        assert np.allclose(lp.constraints[0].normal, [1.0, 0.0])
-        assert lp.constraints[0].offset == 1.0
+        assert np.allclose(lp.A[0], [1.0, 0.0])
+        assert lp.b[0] == 1.0
 
     def test_zero_normal_rejected(self):
         with pytest.raises(ZeroNormalError) as err:
@@ -48,9 +46,8 @@ class TestNormalize:
         lp = make_lp(rng.standard_normal((6, 4)) * 7.0, rng.standard_normal(6))
         once = normalize(lp)
         twice = normalize(once)
-        for a, b in zip(once.constraints, twice.constraints):
-            assert np.max(np.abs(a.normal - b.normal)) <= 1e-15
-            assert abs(a.offset - b.offset) <= 1e-15 * max(1.0, abs(a.offset))
+        assert np.max(np.abs(once.A - twice.A)) <= 1e-15
+        assert np.all(np.abs(once.b - twice.b) <= 1e-15 * np.maximum(1.0, np.abs(once.b)))
 
     def test_sign_of_distance_preserved(self):
         rng = np.random.default_rng(11)
@@ -58,15 +55,12 @@ class TestNormalize:
         unit = normalize(raw)
         for _ in range(50):
             p = rng.standard_normal(3) * 3.0
-            for cr, cu in zip(raw.constraints, unit.constraints):
-                d_raw = float(cr.normal @ p - cr.offset)
-                d_unit = float(cu.normal @ p - cu.offset)
-                assert np.sign(d_raw) == np.sign(d_unit)
+            assert np.array_equal(np.sign(raw.A @ p - raw.b), np.sign(unit.A @ p - unit.b))
 
     def test_senses_preserved(self):
         lp = normalize(make_lp([[2.0], [2.0], [2.0]], [2.0, 2.0, 2.0],
                                [Sense.GE, Sense.GT, Sense.EQ]))
-        assert [c.sense for c in lp.constraints] == [Sense.GE, Sense.GT, Sense.EQ]
+        assert lp.senses == (Sense.GE, Sense.GT, Sense.EQ)
 
 
 class TestCheckPoint:
@@ -104,17 +98,39 @@ class TestCheckPoint:
 class TestTypes:
     def test_lp_requires_matching_lengths(self):
         with pytest.raises(DimensionMismatchError):
-            LinearProgram(2, (Constraint(np.array([1.0]), 0.0),))
+            LinearProgram(np.array([[1.0, 0.0]]), np.array([0.0, 1.0]))
+        with pytest.raises(DimensionMismatchError):
+            LinearProgram(np.array([[1.0, 0.0]]), np.array([0.0]), (Sense.GE, Sense.EQ))
 
     def test_objective_length_checked(self):
         with pytest.raises(DimensionMismatchError):
-            LinearProgram(1, (Constraint(np.array([1.0]), 0.0),),
-                          Objective(Direction.MAX, np.array([1.0, 2.0])))
+            LinearProgram(np.array([[1.0]]), np.array([0.0]),
+                          objective=Objective(Direction.MAX, np.array([1.0, 2.0])))
 
     def test_constraint_immutable_normal(self):
-        c = Constraint(np.array([1.0, 0.0]), 0.0)
+        normals = np.array([[1.0, 0.0]])
+        lp = make_lp(normals, [0.0])
         with pytest.raises(ValueError):
-            c.normal[0] = 5.0
+            lp.A[0, 0] = 5.0
+        with pytest.raises(ValueError):
+            lp.b[0] = 5.0
+        normals[0, 0] = 5.0
+        assert lp.A[0, 0] == 1.0
+
+    @pytest.mark.parametrize("rows,offsets", [
+        ([[1.0, 0.0], [np.nan, 1.0]], [0.0, 0.0]),
+        ([[1.0, 0.0], [np.inf, 1.0]], [0.0, 0.0]),
+        ([[1.0, 0.0], [0.0, 1.0]], [0.0, np.inf]),
+        ([[1.0, 0.0], [0.0, 1.0]], [0.0, np.nan]),
+    ])
+    def test_non_finite_row_rejected_with_its_index(self, rows, offsets):
+        with pytest.raises(ValueError, match="constraint 1"):
+            make_lp(rows, offsets)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_objective_rejected(self, value):
+        with pytest.raises(ValueError, match="finite"):
+            Objective(Direction.MAX, np.array([1.0, value]))
 
     def test_is_normalized(self):
         assert make_lp([[1.0, 0.0]], [0.0]).is_normalized

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from gutterlp.geometry import signed_distance
 from gutterlp.gram import GutterBasis
 from gutterlp.model import (
     Direction,
@@ -79,9 +78,7 @@ class TestResolveConstraint:
                       [0.6, -0.8, 0.0]],
                      [0.0, 0.006, 0.6])
         start = np.array([-2.0, 1.5, 0.0])
-        assert signed_distance(lp.constraints[0], start) > 0
-        assert signed_distance(lp.constraints[1], start) > 0
-        assert signed_distance(lp.constraints[2], start) < 0
+        assert (np.sign(lp.A @ start - lp.b) == [1, 1, -1]).all()
         events = []
         result = solve_feasibility(lp, CFG, start=start, trace=events.append)
         assert result.verdict is Verdict.FEASIBLE
@@ -130,7 +127,7 @@ class TestSolveFeasibility:
         lp = make_lp([[0.0, 1.0], [1.0, 0.0]], [1.0, -5.0], [Sense.EQ, Sense.GE])
         result = solve_feasibility(lp, CFG, start=np.array([0.0, 4.0]))
         assert result.verdict is Verdict.FEASIBLE
-        assert abs(signed_distance(lp.constraints[0], result.point)) <= 1e-8
+        assert abs(lp.A[0] @ result.point - lp.b[0]) <= 1e-8
 
     def test_strict_constraints_resolved_strictly(self):
         lp = make_lp([[1.0], [-1.0]], [0.0, -1.0], [Sense.GT, Sense.GT])
@@ -164,8 +161,7 @@ class TestRepairFixtures:
         result = solve_feasibility(lp, CFG, start=np.array([0.2, 1.0]), trace=events.append)
         assert result.verdict is Verdict.FEASIBLE
         assert EventKind.EQUALITY_SWITCH in kinds(events)
-        for c in lp.constraints:
-            assert abs(signed_distance(c, result.point)) <= 1e-8
+        assert np.max(np.abs(lp.A @ result.point - lp.b)) <= 1e-8
 
     def test_separated_apex_is_infeasible(self):
         lp = self.wedge(0.02)

@@ -110,8 +110,7 @@ class TestGenerators:
         cert = inst.certificate
         assert isinstance(cert, testkit.FeasibleInterior)
         assert check_point(inst.lp, cert.point, 1e-12)
-        for c in inst.lp.constraints:
-            assert float(c.normal @ cert.point - c.offset) >= cert.slack - 1e-12
+        assert np.min(inst.lp.A @ cert.point - inst.lp.b) >= cert.slack - 1e-12
 
     def test_forced_origin_interior(self):
         inst = testkit.gen_feasible(3, 5, 1.0, 11, interior=np.zeros(3))
@@ -128,10 +127,9 @@ class TestGenerators:
         inst = testkit.gen_infeasible(3, 6, 5)
         cert = inst.certificate
         assert isinstance(cert, testkit.InfeasiblePair)
-        a = inst.lp.constraints[cert.index_a]
-        b = inst.lp.constraints[cert.index_b]
-        assert np.allclose(a.normal, -b.normal)
-        assert a.offset + b.offset >= 0.5
+        A, b = inst.lp.A, inst.lp.b
+        assert np.allclose(A[cert.index_a], -A[cert.index_b])
+        assert b[cert.index_a] + b[cert.index_b] >= 0.5
 
     def test_infeasible_by_oracle(self):
         for seed in range(10):
