@@ -253,6 +253,9 @@ def run_solve(args) -> int:
         if start.shape[0] != lp.dimension:
             print("error: --start length does not match vars", file=sys.stderr)
             return EXIT_USAGE
+        if not np.all(np.isfinite(start)):
+            print(f"error: --start values must be finite, got {args.start!r}", file=sys.stderr)
+            return EXIT_USAGE
 
     try:
         config = _build_config(args)
@@ -300,26 +303,10 @@ def run_gen(args) -> int:
         print("error: choose exactly one of --feasible/--infeasible", file=sys.stderr)
         return EXIT_USAGE
     try:
-        if args.feasible:
-            instance = testkit.gen_feasible(args.n, args.m, args.slack, args.seed)
-            cert = {
-                "kind": "feasible_interior",
-                "point": [float(x) for x in instance.certificate.point],
-                "slack": instance.certificate.slack,
-                "seed": instance.seed,
-            }
-        else:
-            instance = testkit.gen_infeasible(args.n, args.m, args.seed)
-            cert = {
-                "kind": "infeasible_pair",
-                "index_a": instance.certificate.index_a,
-                "index_b": instance.certificate.index_b,
-                "seed": instance.seed,
-            }
+        instance, cert = _generate(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-
     doc = LpFileDocument(
         dimension=instance.lp.dimension,
         objective=None,
@@ -328,13 +315,38 @@ def run_gen(args) -> int:
             for a, offset in zip(instance.lp.A.tolist(), instance.lp.b.tolist())
         ),
     )
-    with open(args.output, "w", encoding="utf-8") as handle:
-        handle.write(serialize_lp(doc))
-    with open(args.output + ".cert.json", "w", encoding="utf-8") as handle:
-        json.dump(cert, handle)
-        handle.write("\n")
+    with ExitStack() as outputs:
+        # a bad size is reported before any file exists, a bad path before either is written
+        try:
+            lp_file = _open_output(outputs, args.output)
+            cert_file = _open_output(outputs, args.output + ".cert.json")
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_CANTCREAT
+        lp_file.write(serialize_lp(doc))
+        json.dump(cert, cert_file)
+        cert_file.write("\n")
     print(json.dumps({"written": args.output, "certificate": args.output + ".cert.json"}))
     return 0
+
+
+def _generate(args):
+    """The instance `gen` asked for and its certificate record; ValueError on bad sizes."""
+    if args.feasible:
+        instance = testkit.gen_feasible(args.n, args.m, args.slack, args.seed)
+        return instance, {
+            "kind": "feasible_interior",
+            "point": [float(x) for x in instance.certificate.point],
+            "slack": instance.certificate.slack,
+            "seed": instance.seed,
+        }
+    instance = testkit.gen_infeasible(args.n, args.m, args.seed)
+    return instance, {
+        "kind": "infeasible_pair",
+        "index_a": instance.certificate.index_a,
+        "index_b": instance.certificate.index_b,
+        "seed": instance.seed,
+    }
 
 
 def run_oracle(args) -> int:
@@ -380,10 +392,14 @@ def run_bench(args) -> int:
     t_start = time.perf_counter()
 
     for seed in seeds:
-        if args.feasible:
-            instance = testkit.gen_feasible(args.n, args.m, args.slack, seed)
-        else:
-            instance = testkit.gen_infeasible(args.n, args.m, seed)
+        try:
+            if args.feasible:
+                instance = testkit.gen_feasible(args.n, args.m, args.slack, seed)
+            else:
+                instance = testkit.gen_infeasible(args.n, args.m, seed)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
         events: list[TraceEvent] = []
         t0 = time.perf_counter()
         result = solve_feasibility(instance.lp, config, trace=events.append)

@@ -1,12 +1,23 @@
 """Active-plane basis with an incrementally maintained inverse of G G^T.
 
-Rows only ever get appended within a resolve cycle and the whole basis is
-reset between cycles, so the inverse is extended one border at a time: the
-new row/column of G G^T consists of dot products against existing rows, and
-eliminating just that border (a Schur-complement pivot) updates the inverse
-in O(t^2) instead of re-inverting from scratch.
+Rows only ever get appended within a resolve cycle, and the solver holds one
+basis per solve and reset()s it at the start of every cycle. The inverse is
+therefore extended one border at a time: the new row/column of G G^T consists
+of dot products against existing rows, and eliminating just that border (a
+Schur-complement pivot) updates the inverse in O(t^2) instead of re-inverting
+from scratch.
+
+Rows, offsets and the inverse live in buffers allocated once per basis (n x n,
+n and n x n); the first `size` rows, and the leading size x size block of the
+inverse, are the live part. An append writes the new row and updates the
+inverse block in place instead of building a new inverse, and a reset keeps
+the buffers for the next cycle.
+The inverse stays exactly symmetric, because both halves of every update are
+computed from the same products.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -24,9 +35,9 @@ class DegenerateBasisError(RuntimeError):
 class GutterBasis:
     """Ordered unit rows (constraint index, normal, plane offset) plus (G G^T)^-1.
 
-    The rows live in preallocated n x n and n buffers; normals_matrix() and
-    offsets_vector() are read-only views of their first `size` rows, valid
-    until the next reset().
+    normals_matrix() and offsets_vector() are read-only views of the first
+    `size` rows of the buffers, valid until the next reset(); gram_inverse
+    is a copy.
     """
 
     def __init__(self, dimension: int):
@@ -34,7 +45,7 @@ class GutterBasis:
         self._indices: list[int] = []
         self._normals = np.zeros((self.dimension, self.dimension))
         self._offsets = np.zeros(self.dimension)
-        self._gram_inv = np.zeros((0, 0))
+        self._inverse = np.zeros((self.dimension, self.dimension))
 
     @property
     def size(self) -> int:
@@ -46,7 +57,8 @@ class GutterBasis:
 
     @property
     def gram_inverse(self) -> np.ndarray:
-        return self._gram_inv.copy()
+        t = self.size
+        return self._inverse[:t, :t].copy()
 
     def normals_matrix(self) -> np.ndarray:
         view = self._normals[:self.size]
@@ -73,55 +85,55 @@ class GutterBasis:
             raise DimensionMismatchError(
                 f"normal has length {a.shape[0]}, expected {self.dimension}"
             )
-        if abs(float(np.linalg.norm(a)) - 1.0) > 1e-9:
+        norm2 = float(a @ a)
+        if abs(math.sqrt(norm2) - 1.0) > 1e-9:
             raise ValueError("basis rows must be unit vectors")
-        if self.size == self.dimension:
+        t = self.size
+        if t == self.dimension:
             return False
 
-        t = self.size
+        inv = self._inverse
         if t == 0:
-            pivot = float(a @ a)
-            if pivot <= geom_tol:
+            if norm2 <= geom_tol:
                 return False
-            new_inv = np.array([[1.0 / pivot]])
+            inv[0, 0] = 1.0 / norm2
         else:
             w = self._normals[:t] @ a
-            r = self._gram_inv @ w
-            pivot = float(a @ a - w @ r)
+            r = inv[:t, :t] @ w
+            pivot = norm2 - float(w @ r)
             if pivot <= geom_tol:
                 return False
-            new_inv = np.empty((t + 1, t + 1))
-            new_inv[:t, :t] = self._gram_inv + np.outer(r, r) / pivot
-            new_inv[:t, t] = -r / pivot
-            new_inv[t, :t] = -r / pivot
-            new_inv[t, t] = 1.0 / pivot
-            new_inv = 0.5 * (new_inv + new_inv.T)
+            inv[:t, :t] += r[:, None] * r / pivot
+            border = -r / pivot
+            inv[:t, t] = border
+            inv[t, :t] = border
+            inv[t, t] = 1.0 / pivot
 
         self._indices.append(index)
         self._normals[t] = a
         self._offsets[t] = float(offset)
-        self._gram_inv = new_inv
         return True
 
     def correction(self, residuals) -> np.ndarray:
         """G^T (G G^T)^-1 residuals; the zero vector for an empty basis."""
         r = np.asarray(residuals, dtype=float).reshape(-1)
-        if r.shape[0] != self.size:
+        t = self.size
+        if r.shape[0] != t:
             raise DimensionMismatchError(
-                f"residual vector has length {r.shape[0]}, expected {self.size}"
+                f"residual vector has length {r.shape[0]}, expected {t}"
             )
-        if self.size == 0:
+        if t == 0:
             return np.zeros(self.dimension)
-        return self._normals[:self.size].T @ (self._gram_inv @ r)
+        return self._normals[:t].T @ (self._inverse[:t, :t] @ r)
 
     def reset(self) -> None:
-        self._indices = []
-        self._gram_inv = np.zeros((0, 0))
+        """Empty the basis; the buffers are kept for the next rows."""
+        self._indices.clear()
 
     def copy(self) -> "GutterBasis":
         dup = GutterBasis(self.dimension)
         dup._indices = list(self._indices)
         dup._normals = self._normals.copy()
         dup._offsets = self._offsets.copy()
-        dup._gram_inv = self._gram_inv.copy()
+        dup._inverse = self._inverse.copy()
         return dup

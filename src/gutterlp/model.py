@@ -165,6 +165,15 @@ class LinearProgram:
         return np.where(self.equalities, np.abs(d) <= feas_tol,
                         np.where(self.strict, d > feas_tol, d >= -feas_tol))
 
+    def row_satisfied(self, i: int, d_i: float, feas_tol: float) -> bool:
+        """Whether row i meets its sense at signed distance d_i; entry i of satisfied()."""
+        sense = self.senses[i]
+        if sense is Sense.EQ:
+            return abs(d_i) <= feas_tol
+        if sense is Sense.GT:
+            return d_i > feas_tol
+        return d_i >= -feas_tol
+
 
 def normalize(lp: LinearProgram, geom_tol: float = 1e-9) -> LinearProgram:
     """Rescale every row so its normal has unit Euclidean norm.

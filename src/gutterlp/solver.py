@@ -132,51 +132,49 @@ def _project_onto_planes(lp: LinearProgram, indices, p, geom_tol: float,
     row is not satisfied by the projection, i.e. the planes have no common point.
     """
     rows = sorted(indices)
-    basis = _pinned_basis(lp, rows, geom_tol)
+    basis = _repin(GutterBasis(lp.dimension), lp, rows, geom_tol)
     q = project_onto_intersection(basis, p, np.zeros(basis.size))
     return q, bool(np.all(np.abs(lp.A[rows] @ q - lp.b[rows]) <= 10 * feas_tol))
 
 
-def _pinned_basis(lp: LinearProgram, pinned, geom_tol: float) -> GutterBasis:
-    basis = GutterBasis(lp.dimension)
+def _repin(basis: GutterBasis, lp: LinearProgram, pinned, geom_tol: float) -> GutterBasis:
+    """Reset basis to hold just the pinned rows, in index order."""
+    basis.reset()
     for i in sorted(pinned):
         basis.append_row(i, lp.A[i], lp.b[i], geom_tol)
     return basis
 
 
 def _slide_direction(lp: LinearProgram, basis: GutterBasis, p0: np.ndarray,
-                     target: int, geom_tol: float,
+                     target: int, geom_tol: float, feas_tol: float,
                      epsilon: float = 0.0) -> tuple[Optional[np.ndarray], float]:
     """Movement direction parallel to the gutter that approaches the target plane.
 
     Equivalent to normalizing P3 - P1, where P1 and P3 are the projections of
     the center and of its target-plane foot onto the gutter intersection; the
     second value is |P3 - P1|, whose vanishing signals "no slope on the gutter".
-    For a strict target sitting on its own plane the remaining travel is the
-    gap up to the epsilon standoff instead of the plane distance.
+    A target within feas_tol of its plane (a strict target left on it) has the
+    gap up to the epsilon standoff left to travel instead of the plane
+    distance, the same test resolve_constraint uses for its hit time.
     """
     a = lp.A[target]
-    if basis.size == 0:
-        proj = a.copy()
-    else:
-        G = basis.normals_matrix()
-        proj = a - basis.correction(G @ a)
-    norm = float(np.linalg.norm(proj))
+    G = basis.normals_matrix()
+    proj = a - basis.correction(G @ a) if basis.size else a
+    norm = math.sqrt(proj @ proj)
     d = float(a @ p0 - lp.b[target])
-    travel = abs(d) if d < 0 else max(epsilon - d, 0.0)
+    travel = -d if d < -feas_tol else max(epsilon - d, 0.0)
     slope = travel * norm
     if norm <= geom_tol or slope <= geom_tol:
         return None, slope
     direction = proj / norm
     if basis.size:
         # one re-orthogonalization pass keeps dir-gutter dot products at rounding level
-        G = basis.normals_matrix()
         for _ in range(3):
             drift = G @ direction
-            if float(np.max(np.abs(drift))) <= 1e-12:
+            if np.abs(drift).max() <= 1e-12:
                 break
             direction = direction - basis.correction(drift)
-            norm = float(np.linalg.norm(direction))
+            norm = math.sqrt(direction @ direction)
             if norm <= geom_tol:
                 return None, slope
             direction = direction / norm
@@ -184,63 +182,76 @@ def _slide_direction(lp: LinearProgram, basis: GutterBasis, p0: np.ndarray,
 
 
 def resolve_constraint(lp: LinearProgram, state: SolverState, config: SolverConfig,
-                       trace: TraceSink = None) -> tuple[ResolveOutcome, str]:
+                       trace: TraceSink = None,
+                       d: Optional[np.ndarray] = None) -> tuple[ResolveOutcome, str]:
     """Drive the ball until the target constraint is satisfied or progress dies.
 
     Expects state.target_index violated at state.p0 and state.gutter holding
-    only the pinned equality rows. Mutates state in place.
+    only the pinned equality rows. Mutates state in place. `d`, when given,
+    must be A p0 - b at the current center, as the caller's violation check
+    already computed it.
 
     The planes that can stop the ball are the rows satisfied when the cycle
     starts, less the target, the pinned and gutter rows, and rows whose
     append was degenerate (until the next successful append). Each step
     scans all of them at once: the first plane hit is the least hit time t,
-    ties going to the lowest index, the target included.
+    ties going to the lowest index, the target included. A p0 - b is
+    recomputed only after the center moved, and A dir only after the
+    direction changed.
     """
     i = state.target_index
     A, b = lp.A, lp.b
+    n = lp.dimension
     eps = state.epsilon
     geom_tol = config.geom_tol
     feas_tol = config.feas_tol
 
-    open_rows = lp.satisfied(A @ state.p0 - b, feas_tol)
+    if d is None:
+        d = A @ state.p0 - b
+    d_at = state.p0
+    open_rows = lp.satisfied(d, feas_tol)
     open_rows[[i, *state.pinned_eq, *state.gutter.indices]] = False
-    direction, _ = _slide_direction(lp, state.gutter, state.p0, i, geom_tol, eps)
+    direction, _ = _slide_direction(lp, state.gutter, state.p0, i, geom_tol, feas_tol, eps)
     if direction is None:
-        _emit(trace, state, EventKind.STALL, "no-slope at cycle start", dir_vec=np.zeros(lp.dimension))
+        _emit(trace, state, EventKind.STALL, "no-slope at cycle start", dir_vec=np.zeros(n))
         return ResolveOutcome.STALL, "no-slope"
     state.dir = direction
+    scanned_dir = None
     skipped: list[int] = []
     inner_cap = config.inner_cap(lp)
 
     while True:
-        d = A @ state.p0 - b
-        if lp.satisfied(d, feas_tol)[i]:
+        if state.p0 is not d_at:
+            d = A @ state.p0 - b
+            d_at = state.p0
+        d_i = d[i]
+        if lp.row_satisfied(i, d_i, feas_tol):
             _emit(trace, state, EventKind.RESOLVED, f"target={i}")
             return ResolveOutcome.RESOLVED, "resolved"
-        if state.gutter.size >= lp.dimension:
+        if state.gutter.size >= n:
             _emit(trace, state, EventKind.GUTTER_FULL, f"target={i} rows={state.gutter.size}",
-                  dir_vec=np.zeros(lp.dimension))
+                  dir_vec=np.zeros(n))
             return ResolveOutcome.GUTTER_FULL, "gutter-full"
 
         state.inner_iter += 1
         if state.inner_iter > inner_cap:
-            _emit(trace, state, EventKind.STALL, "inner-iteration-cap",
-                  dir_vec=np.zeros(lp.dimension))
+            _emit(trace, state, EventKind.STALL, "inner-iteration-cap", dir_vec=np.zeros(n))
             return ResolveOutcome.STALL, "inner-iteration-cap"
 
-        slope = A @ state.dir
-        hit = open_rows & (np.abs(slope) > geom_tol)
-        t = np.full(d.shape, np.inf)
-        t[hit] = -d[hit] / slope[hit]
+        if state.dir is not scanned_dir:
+            scanned_dir = state.dir
+            slope = A @ scanned_dir
+            steep = np.abs(slope) > geom_tol
+            slope_i = slope[i]
+        t = np.divide(-d, slope, out=np.full(d.shape, np.inf), where=open_rows & steep)
         t[t <= geom_tol] = np.inf
-        d_i, slope_i = d[i], slope[i]
         if abs(slope_i) > geom_tol:
             # a violated target is hit at its plane; a strict target already on
             # its plane is hit at the epsilon standoff
             t_i = (-d_i if d_i < -feas_tol else eps - d_i) / slope_i
             if t_i > geom_tol:
                 t[i] = t_i
-        j = int(np.argmin(t))
+        j = int(t.argmin())
         t_first = t[j]
         if t_first == np.inf:
             _emit(trace, state, EventKind.STALL, "unbounded-ray")
@@ -253,7 +264,7 @@ def resolve_constraint(lp: LinearProgram, state: SolverState, config: SolverConf
             if d_i < -feas_tol and eps > 0:
                 t_end += eps / slope_i
             t[i] = np.inf
-            t_end = min(t_end, np.min(t, where=slope < 0, initial=np.inf))
+            t_end = min(t_end, t[slope < 0].min(initial=np.inf))
             _advance(state, t_end, trace)
             continue
 
@@ -276,27 +287,29 @@ def resolve_constraint(lp: LinearProgram, state: SolverState, config: SolverConf
             continue
         open_rows[skipped] = True
         skipped.clear()
-        if state.gutter.size >= lp.dimension:
-            _emit(trace, state, EventKind.GUTTER_APPEND, f"plane={j}",
-                  dir_vec=np.zeros(lp.dimension))
+        if state.gutter.size >= n:
+            _emit(trace, state, EventKind.GUTTER_APPEND, f"plane={j}", dir_vec=np.zeros(n))
             continue
-        direction, _ = _slide_direction(lp, state.gutter, state.p0, i, geom_tol, eps)
+        direction, _ = _slide_direction(lp, state.gutter, state.p0, i, geom_tol, feas_tol, eps)
         if direction is None:
-            _emit(trace, state, EventKind.GUTTER_APPEND, f"plane={j}",
-                  dir_vec=np.zeros(lp.dimension))
-            _emit(trace, state, EventKind.STALL, "no-slope",
-                  dir_vec=np.zeros(lp.dimension))
+            _emit(trace, state, EventKind.GUTTER_APPEND, f"plane={j}", dir_vec=np.zeros(n))
+            _emit(trace, state, EventKind.STALL, "no-slope", dir_vec=np.zeros(n))
             return ResolveOutcome.STALL, "no-slope"
         state.dir = direction
         _emit(trace, state, EventKind.GUTTER_APPEND, f"plane={j}")
 
 
 def _advance(state: SolverState, t: float, trace: TraceSink) -> None:
-    """Move the center t along the current direction; a MOVE event when it changed."""
+    """Move the center t along the current direction; a MOVE event when it changed.
+
+    An unchanged center keeps its array, which tells resolve_constraint that
+    its signed distances are still current.
+    """
     moved = state.p0 + t * state.dir
-    if not np.array_equal(moved, state.p0):
+    if np.count_nonzero(moved != state.p0):
         state.p0 = moved
-        _emit(trace, state, EventKind.MOVE, f"advance t={t:.9e}")
+        if trace is not None:
+            _emit(trace, state, EventKind.MOVE, f"advance t={t:.9e}")
 
 
 def repair_or_conclude(lp: LinearProgram, state: SolverState, config: SolverConfig,
@@ -382,8 +395,9 @@ def _solve_feasibility_state(lp: LinearProgram, config: SolverConfig,
                 return result, SolverState(p0, config.epsilon, GutterBasis(lp.dimension),
                                            pinned_eq=pinned)
 
-    state = SolverState(p0=p0, epsilon=config.epsilon,
-                        gutter=_pinned_basis(lp, pinned, config.geom_tol), pinned_eq=pinned)
+    # one basis serves the whole solve; every cycle re-pins it
+    state = SolverState(p0=p0, epsilon=config.epsilon, gutter=GutterBasis(lp.dimension),
+                        pinned_eq=pinned)
     outer_cap = config.outer_cap(lp)
 
     while True:
@@ -404,12 +418,12 @@ def _solve_feasibility_state(lp: LinearProgram, config: SolverConfig,
         # the most violated row; argmin breaks ties by the lowest index
         target = int(np.argmin(np.where(violated, d, np.inf)))
         state.target_index = target
-        state.gutter = _pinned_basis(lp, state.pinned_eq, config.geom_tol)
+        _repin(state.gutter, lp, state.pinned_eq, config.geom_tol)
         state.dir = None
         _emit(trace, state, EventKind.SELECT_TARGET, f"target={target} distance={d[target]:.9e}",
               dir_vec=np.zeros(lp.dimension))
 
-        outcome, detail = resolve_constraint(lp, state, config, trace)
+        outcome, detail = resolve_constraint(lp, state, config, trace, d)
         if outcome is ResolveOutcome.RESOLVED:
             continue
         if state.gutter.size == 0:
@@ -496,7 +510,7 @@ def solve_optimum(lp: LinearProgram, config: Optional[SolverConfig] = None,
         cycles += 1
         offsets[m] = big_m
         state.target_index = m
-        state.gutter = _pinned_basis(lp, state.pinned_eq, config.geom_tol)
+        _repin(state.gutter, lp, state.pinned_eq, config.geom_tol)
         state.dir = None
         _emit(trace, state, EventKind.SELECT_TARGET,
               f"target={m} artificial M={big_m:.9e}", dir_vec=np.zeros(lp.dimension))

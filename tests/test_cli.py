@@ -151,6 +151,17 @@ class TestSolveCommand:
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("start", ["nan,1", "1,inf", "0,-inf"])
+    def test_non_finite_start_is_a_usage_error(self, tmp_path, capsys, start):
+        path = tmp_path / "two.lp"
+        path.write_text(TWO_PLANE)
+        code = cli.main(["solve", str(path), "--start", start])
+        captured = capsys.readouterr()
+        assert code == 64
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
     def test_svg_rejected_for_other_dims(self, tmp_path, capsys):
         path = tmp_path / "one.lp"
         path.write_text("vars 1\nc 1 >= 0\n")
@@ -194,6 +205,22 @@ class TestGenOracleBench:
         capsys.readouterr()
         assert code == 64
 
+    def test_gen_unwritable_output_path(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.lp"
+        code = cli.main(["gen", "--feasible", "-o", str(out)])
+        captured = capsys.readouterr()
+        assert code == 73
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
+    def test_gen_bad_size_is_a_usage_error_and_writes_nothing(self, tmp_path, capsys):
+        code = cli.main(["gen", "--infeasible", "-m", "1", "-o", str(tmp_path / "x.lp")])
+        captured = capsys.readouterr()
+        assert code == 64
+        assert captured.err.startswith("error: ")
+        assert list(tmp_path.iterdir()) == []
+
     def test_oracle_triangle(self, tmp_path, capsys):
         path = tmp_path / "tri.lp"
         path.write_text(TRIANGLE_MAX)
@@ -228,6 +255,16 @@ class TestGenOracleBench:
         code = cli.main(["bench", "--feasible", "--bound", "1"])
         capsys.readouterr()
         assert code == 64
+
+    @pytest.mark.parametrize("args", [["--infeasible", "-m", "1"], ["--feasible", "-n", "0"],
+                                      ["--feasible", "--slack", "0"]])
+    def test_bench_bad_generator_sizes_are_usage_errors(self, capsys, args):
+        code = cli.main(["bench", *args])
+        captured = capsys.readouterr()
+        assert code == 64
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
 
     def test_bench_infeasible_batch(self, capsys):
         code = cli.main(["bench", "--infeasible", "--seeds", "1..4", "-n", "2", "-m", "4"])

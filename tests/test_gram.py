@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gutterlp.geometry import project_onto_intersection
 from gutterlp.gram import DuplicateIndexError, GutterBasis
@@ -163,3 +165,74 @@ class TestIncrementalEquivalence:
             via_correction = p - basis.correction(residuals)
             via_projection = project_onto_intersection(basis, p, np.zeros(t))
             assert np.max(np.abs(via_correction - via_projection)) <= 1e-12
+
+
+COEFFICIENT = st.floats(-1.0, 1.0, allow_nan=False)
+
+
+class TestInPlaceBuffers:
+    """The inverse is updated in place in buffers kept across appends and resets."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_inverse_matches_direct_over_random_sequences(self, data):
+        n = data.draw(st.integers(1, 6), label="n")
+        basis = GutterBasis(n)
+        for index in range(data.draw(st.integers(1, 14), label="steps")):
+            op = data.draw(st.sampled_from(["row", "row", "dependent", "reset"]), label="op")
+            before = (basis.indices, basis.gram_inverse)
+            if op == "reset":
+                basis.reset()
+            elif op == "dependent" and basis.size:
+                weights = np.array(data.draw(st.lists(COEFFICIENT, min_size=basis.size,
+                                                      max_size=basis.size), label="weights"))
+                combo = weights @ basis.normals_matrix()
+                if np.linalg.norm(combo) < 1e-3:
+                    continue
+                assert not basis.append_row(index, unit(combo))
+                assert basis.indices == before[0]
+                assert np.array_equal(basis.gram_inverse, before[1])
+            else:
+                row = np.array(data.draw(st.lists(COEFFICIENT, min_size=n, max_size=n), label="row"))
+                if np.linalg.norm(row) < 1e-3:
+                    continue
+                # a coarse pivot tolerance keeps accepted bases well conditioned
+                if not basis.append_row(index, unit(row), geom_tol=1e-3):
+                    assert basis.indices == before[0]
+                    assert np.array_equal(basis.gram_inverse, before[1])
+            if basis.size:
+                G = basis.normals_matrix()
+                direct = np.linalg.inv(G @ G.T)
+                inverse = basis.gram_inverse
+                assert np.array_equal(inverse, inverse.T)
+                assert np.max(np.abs(inverse - direct)) <= 1e-9 * max(1.0, np.max(np.abs(direct)))
+            else:
+                assert basis.gram_inverse.shape == (0, 0)
+
+    def test_copy_and_inverse_do_not_alias_the_buffers(self):
+        rows = random_unit_rows(np.random.default_rng(46), 5, 5)
+        basis = GutterBasis(5)
+        basis.append_row(0, rows[0], 0.5)
+        basis.append_row(1, rows[1], -0.5)
+        snapshot = basis.copy()
+        inverse = basis.gram_inverse
+        kept = (snapshot.gram_inverse, snapshot.normals_matrix().copy(),
+                snapshot.offsets_vector().copy(), inverse.copy())
+
+        basis.append_row(2, rows[2], 1.0)
+        basis.append_row(3, rows[3], 2.0)
+        basis.reset()
+        basis.append_row(4, rows[4], 3.0)
+        basis.append_row(0, rows[3], 4.0)
+
+        assert snapshot.indices == (0, 1)
+        assert np.array_equal(snapshot.gram_inverse, kept[0])
+        assert np.array_equal(snapshot.normals_matrix(), kept[1])
+        assert np.array_equal(snapshot.offsets_vector(), kept[2])
+        assert np.array_equal(inverse, kept[3])
+
+        # appends to the copy leave the original alone as well
+        now = basis.gram_inverse
+        assert snapshot.append_row(2, rows[2])
+        assert basis.indices == (4, 0)
+        assert np.array_equal(basis.gram_inverse, now)

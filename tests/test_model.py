@@ -95,6 +95,19 @@ class TestCheckPoint:
             check_point(lp, [1.0, 2.0, 3.0])
 
 
+class TestRowSatisfied:
+    @pytest.mark.parametrize("sense", [Sense.GE, Sense.GT, Sense.EQ])
+    def test_agrees_with_the_mask(self, sense):
+        tol = 1e-8
+        distances = np.array([-2 * tol, -tol, 0.0, tol, 2 * tol, SolverConfig().epsilon])
+        lp = make_lp(np.ones((distances.size, 1)), np.zeros(distances.size),
+                     [sense] * distances.size)
+        mask = lp.satisfied(distances, tol)
+        for i, d_i in enumerate(distances):
+            assert lp.row_satisfied(i, d_i, tol) == mask[i], (sense, d_i)
+            assert lp.row_satisfied(i, float(d_i), tol) == mask[i], (sense, d_i)
+
+
 class TestTypes:
     def test_lp_requires_matching_lengths(self):
         with pytest.raises(DimensionMismatchError):

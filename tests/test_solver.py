@@ -137,6 +137,25 @@ class TestSolveFeasibility:
         assert result.point[0] < 1
 
 
+class TestStrictTargets:
+    """GT-sense copies of certified-feasible programs.
+
+    An early stop can leave a strict target a rounding error below its plane
+    (d of order -1e-16). The slide direction must then count the gap up to the
+    epsilon standoff as the travel left, as the hit-time scan does, instead of
+    |d| ~ 1e-16, which reads as "no slope" and stalls.
+    """
+
+    @pytest.mark.parametrize("n,m,seed", [(5, 20, 52), (20, 200, 16), (20, 200, 18),
+                                          (20, 200, 36), (20, 200, 40)])
+    def test_strict_copy_of_feasible_program_is_solved(self, n, m, seed):
+        base = testkit.gen_feasible(n, m, 0.1, seed).lp
+        lp = LinearProgram.from_arrays(base.matrix(), base.offsets(), [Sense.GT] * m)
+        result = solve_feasibility(lp, SolverConfig())
+        assert result.verdict is Verdict.FEASIBLE, result.diagnostics
+        assert check_point(lp, result.point)
+
+
 class TestRepairFixtures:
     WALL = np.sqrt(17.0)
 
