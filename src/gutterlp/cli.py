@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 from contextlib import ExitStack
@@ -109,7 +110,7 @@ def parse_lp_document(text: str) -> LpFileDocument:
             if sense not in ("min", "max"):
                 raise LpFormatError(line_no, "objective direction must be min or max")
             try:
-                coeffs = tuple(float(t) for t in tokens[2:])
+                coeffs = tuple(map(float, tokens[2:]))
             except ValueError:
                 raise LpFormatError(line_no, "bad objective coefficient") from None
             objective = (sense, coeffs)
@@ -123,7 +124,7 @@ def parse_lp_document(text: str) -> LpFileDocument:
             if op not in (">=", ">", "=", "<=", "<"):
                 raise LpFormatError(line_no, f"unknown operator {op!r}")
             try:
-                coeffs = tuple(float(t) for t in tokens[1:1 + dimension])
+                coeffs = tuple(map(float, tokens[1:1 + dimension]))
                 rhs = float(tokens[2 + dimension])
             except ValueError:
                 raise LpFormatError(line_no, "bad numeric value") from None
@@ -150,24 +151,20 @@ def serialize_lp(doc: LpFileDocument) -> str:
 
 
 def document_to_lp(doc: LpFileDocument, geom_tol: float = 1e-9) -> LinearProgram:
-    normals = []
-    offsets = []
-    senses = []
-    for coeffs, op, rhs in doc.rows:
-        vec = np.asarray(coeffs, dtype=float)
-        bound = float(rhs)
-        if op in _FLIP_OPS:
-            vec = -vec
-            bound = -bound
-            op = _FLIP_OPS[op]
-        normals.append(vec)
-        offsets.append(bound)
-        senses.append(_SENSE_BY_OP[op])
+    rows = doc.rows
+    normals = np.array([coeffs for coeffs, _, _ in rows], dtype=float)
+    offsets = np.array([rhs for _, _, rhs in rows], dtype=float)
+    flipped = [k for k, (_, op, _) in enumerate(rows) if op in _FLIP_OPS]
+    if flipped:
+        # negation is exact, so flipping in place gives the bits of negating each row
+        normals[flipped] *= -1.0
+        offsets[flipped] *= -1.0
+    senses = [_SENSE_BY_OP[_FLIP_OPS.get(op, op)] for _, op, _ in rows]
     objective = None
     if doc.objective is not None:
         direction = Direction.MIN if doc.objective[0] == "min" else Direction.MAX
         objective = Objective(direction, np.asarray(doc.objective[1], dtype=float))
-    lp = LinearProgram.from_arrays(np.array(normals), np.array(offsets), senses, objective)
+    lp = LinearProgram.from_arrays(normals, offsets, senses, objective)
     return normalize(lp, geom_tol)
 
 
@@ -546,7 +543,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("file")
     _add_solver_flags(p_solve)
     p_solve.add_argument("--phase", choices=["feasibility", "optimize"], default="feasibility")
-    p_solve.add_argument("--start", default=None, help="comma-separated start point")
+    p_solve.add_argument("--start", default=None,
+                         help="comma-separated start point, e.g. --start -1,2 or --start=-1,2")
     p_solve.add_argument("--trace", default=None, help="write JSONL trace to PATH")
     p_solve.add_argument("--svg", default=None, help="write an SVG trajectory (n=2 only)")
     p_solve.set_defaults(func=run_solve)
@@ -579,8 +577,40 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_NUMBER_LIST = re.compile(r"-[0-9.]")
+
+
+def _join_start_values(argv: Sequence[str]) -> list[str]:
+    """Rewrite `--start -1,2` as `--start=-1,2`.
+
+    argparse takes a value that starts with '-' and is not a single number
+    for an option, so a start point whose first coordinate is negative would
+    be refused. A value that starts with '-' and a digit or '.' cannot be an
+    option of this parser.
+    """
+    out: list[str] = []
+    args = iter(argv)
+    for arg in args:
+        if arg == "--":
+            out.append(arg)
+            out.extend(args)
+            break
+        if arg == "--start":
+            value = next(args, None)
+            if value is not None and _NUMBER_LIST.match(value):
+                out.append(f"--start={value}")
+                continue
+            out.append(arg)
+            if value is not None:
+                out.append(value)
+            continue
+        out.append(arg)
+    return out
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
+    argv = _join_start_values(sys.argv[1:] if argv is None else argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -43,9 +43,15 @@ class GutterBasis:
     def __init__(self, dimension: int):
         self.dimension = int(dimension)
         self._indices: list[int] = []
-        self._normals = np.zeros((self.dimension, self.dimension))
-        self._offsets = np.zeros(self.dimension)
-        self._inverse = np.zeros((self.dimension, self.dimension))
+        self._use(np.zeros((self.dimension, self.dimension)), np.zeros(self.dimension),
+                  np.zeros((self.dimension, self.dimension)))
+
+    def _use(self, normals: np.ndarray, offsets: np.ndarray, inverse: np.ndarray) -> None:
+        """Take the buffers, with one read-only view of each that the accessors slice."""
+        self._normals, self._offsets, self._inverse = normals, offsets, inverse
+        self._normals_view, self._offsets_view = normals.view(), offsets.view()
+        self._normals_view.setflags(write=False)
+        self._offsets_view.setflags(write=False)
 
     @property
     def size(self) -> int:
@@ -61,14 +67,10 @@ class GutterBasis:
         return self._inverse[:t, :t].copy()
 
     def normals_matrix(self) -> np.ndarray:
-        view = self._normals[:self.size]
-        view.setflags(write=False)
-        return view
+        return self._normals_view[:len(self._indices)]
 
     def offsets_vector(self) -> np.ndarray:
-        view = self._offsets[:self.size]
-        view.setflags(write=False)
-        return view
+        return self._offsets_view[:len(self._indices)]
 
     def append_row(self, index: int, normal, offset: float = 0.0, geom_tol: float = 1e-9) -> bool:
         """Append one unit row, extending the inverse by its border.
@@ -88,7 +90,7 @@ class GutterBasis:
         norm2 = float(a @ a)
         if abs(math.sqrt(norm2) - 1.0) > 1e-9:
             raise ValueError("basis rows must be unit vectors")
-        t = self.size
+        t = len(self._indices)
         if t == self.dimension:
             return False
 
@@ -99,12 +101,13 @@ class GutterBasis:
             inv[0, 0] = 1.0 / norm2
         else:
             w = self._normals[:t] @ a
-            r = inv[:t, :t] @ w
+            block = inv[:t, :t]
+            r = block @ w
             pivot = norm2 - float(w @ r)
             if pivot <= geom_tol:
                 return False
-            inv[:t, :t] += r[:, None] * r / pivot
-            border = -r / pivot
+            block += r[:, None] * r / pivot
+            border = r / -pivot
             inv[:t, t] = border
             inv[t, :t] = border
             inv[t, t] = 1.0 / pivot
@@ -117,7 +120,7 @@ class GutterBasis:
     def correction(self, residuals) -> np.ndarray:
         """G^T (G G^T)^-1 residuals; the zero vector for an empty basis."""
         r = np.asarray(residuals, dtype=float).reshape(-1)
-        t = self.size
+        t = len(self._indices)
         if r.shape[0] != t:
             raise DimensionMismatchError(
                 f"residual vector has length {r.shape[0]}, expected {t}"
@@ -133,7 +136,5 @@ class GutterBasis:
     def copy(self) -> "GutterBasis":
         dup = GutterBasis(self.dimension)
         dup._indices = list(self._indices)
-        dup._normals = self._normals.copy()
-        dup._offsets = self._offsets.copy()
-        dup._inverse = self._inverse.copy()
+        dup._use(self._normals.copy(), self._offsets.copy(), self._inverse.copy())
         return dup

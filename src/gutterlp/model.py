@@ -112,12 +112,13 @@ class LinearProgram:
         if self.objective is not None and self.objective.coefficients.shape[0] != n:
             raise DimensionMismatchError(
                 f"objective has length {self.objective.coefficients.shape[0]}, expected {n}")
-        codes = np.array(senses, dtype=object)
-        strict, equalities = codes == Sense.GT, codes == Sense.EQ
-        unknown = ~(strict | equalities | (codes == Sense.GE))
+        # Sense members compare by identity, so `is` tests match `==` exactly
+        codes = np.array([0 if s is Sense.GE else 1 if s is Sense.GT else 2 if s is Sense.EQ
+                          else -1 for s in senses], dtype=np.int8)
+        unknown = codes < 0
         if unknown.any():
             raise ValueError(f"constraint {int(np.argmax(unknown))}: unknown sense")
-        self._store(A, b, senses, self.objective, strict, equalities)
+        self._store(A, b, senses, self.objective, codes == 1, codes == 2)
 
     def _store(self, A, b, senses, objective, strict, equalities) -> None:
         for name, value in (("A", _readonly(A)), ("b", _readonly(b)), ("senses", senses),
@@ -161,9 +162,25 @@ class LinearProgram:
         return self.b.copy()
 
     def satisfied(self, d: np.ndarray, feas_tol: float) -> np.ndarray:
-        """Per-row mask: whether the signed distances d = A p - b meet each row's sense."""
-        return np.where(self.equalities, np.abs(d) <= feas_tol,
-                        np.where(self.strict, d > feas_tol, d >= -feas_tol))
+        """Per-row mask: whether the signed distances d = A p - b meet each row's sense.
+
+        Each sense is a closed interval lo <= d <= hi: GE is [-tol, inf], EQ
+        is [-tol, tol] (|d| <= tol), and GT is [nextafter(tol, inf), inf],
+        which holds for exactly the doubles d > tol. The bounds are built once
+        per program and tolerance.
+        """
+        lo, hi = self._sense_bounds(feas_tol)
+        return (lo <= d) & (d <= hi)
+
+    def _sense_bounds(self, feas_tol: float) -> tuple[np.ndarray, np.ndarray]:
+        cached = self.__dict__.get("_bounds")
+        if cached is None or cached[0] != feas_tol:
+            lo = np.where(self.strict, np.nextafter(feas_tol, np.inf), -feas_tol)
+            hi = np.where(self.equalities, feas_tol, np.inf)
+            # one attribute write, so a concurrent solve sees either bounds or none
+            cached = (feas_tol, _readonly(lo), _readonly(hi))
+            object.__setattr__(self, "_bounds", cached)
+        return cached[1], cached[2]
 
     def row_satisfied(self, i: int, d_i: float, feas_tol: float) -> bool:
         """Whether row i meets its sense at signed distance d_i; entry i of satisfied()."""

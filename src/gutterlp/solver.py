@@ -77,6 +77,7 @@ class SolverState:
     pinned_eq: set[int] = field(default_factory=set)
     outer_iter: int = 0
     inner_iter: int = 0
+    distances: Optional[np.ndarray] = None  # A p0 - b when resolve_constraint returned RESOLVED
 
 
 class ResolveOutcome(Enum):
@@ -93,17 +94,22 @@ class RepairOutcome(Enum):
 
 
 def _emit(trace: TraceSink, state: SolverState, kind: EventKind, detail: str = "",
-          dir_vec: Optional[np.ndarray] = None) -> None:
+          *args, stopped: bool = False) -> None:
+    """Send one event to the trace sink; nothing at all is built when there is none.
+
+    The detail is `detail.format(*args)`, and a stopped event reports the
+    zero direction instead of state.dir.
+    """
     if trace is None:
         return
-    d = dir_vec if dir_vec is not None else state.dir
+    d = None if stopped else state.dir
     trace(TraceEvent(
         iteration=state.inner_iter,
         kind=kind,
         p0=tuple(state.p0.tolist()),
         dir=tuple(d.tolist()) if d is not None else (0.0,) * state.p0.shape[0],
         gutter_indices=state.gutter.indices,
-        detail=detail,
+        detail=detail.format(*args) if args else detail,
     ))
 
 
@@ -158,8 +164,12 @@ def _slide_direction(lp: LinearProgram, basis: GutterBasis, p0: np.ndarray,
     distance, the same test resolve_constraint uses for its hit time.
     """
     a = lp.A[target]
-    G = basis.normals_matrix()
-    proj = a - basis.correction(G @ a) if basis.size else a
+    rows = basis.size
+    if rows:
+        G = basis.normals_matrix()
+        proj = a - basis.correction(G @ a)
+    else:
+        proj = a
     norm = math.sqrt(proj @ proj)
     d = float(a @ p0 - lp.b[target])
     travel = -d if d < -feas_tol else max(epsilon - d, 0.0)
@@ -167,7 +177,7 @@ def _slide_direction(lp: LinearProgram, basis: GutterBasis, p0: np.ndarray,
     if norm <= geom_tol or slope <= geom_tol:
         return None, slope
     direction = proj / norm
-    if basis.size:
+    if rows:
         # one re-orthogonalization pass keeps dir-gutter dot products at rounding level
         for _ in range(3):
             drift = G @ direction
@@ -182,20 +192,29 @@ def _slide_direction(lp: LinearProgram, basis: GutterBasis, p0: np.ndarray,
 
 
 def resolve_constraint(lp: LinearProgram, state: SolverState, config: SolverConfig,
-                       trace: TraceSink = None,
-                       d: Optional[np.ndarray] = None) -> tuple[ResolveOutcome, str]:
+                       trace: TraceSink = None, d: Optional[np.ndarray] = None,
+                       satisfied: Optional[np.ndarray] = None) -> tuple[ResolveOutcome, str]:
     """Drive the ball until the target constraint is satisfied or progress dies.
 
-    Expects state.target_index violated at state.p0 and state.gutter holding
-    only the pinned equality rows. Mutates state in place. `d`, when given,
-    must be A p0 - b at the current center, as the caller's violation check
-    already computed it.
+    Expects unit rows (see normalize), state.target_index violated at
+    state.p0 and state.gutter holding only the pinned equality rows. Mutates
+    state in place; after RESOLVED, state.distances holds A p0 - b at the
+    final center. `d`, when given, must be A p0 - b at the current center and
+    `satisfied` its lp.satisfied mask, as the caller's violation check
+    already computed them; the cycle takes the mask over and modifies it.
 
     The planes that can stop the ball are the rows satisfied when the cycle
     starts, less the target, the pinned and gutter rows, and rows whose
-    append was degenerate (until the next successful append). Each step
-    scans all of them at once: the first plane hit is the least hit time t,
-    ties going to the lowest index, the target included. A p0 - b is
+    append was degenerate (until the next successful append). A scan finds
+    the first plane hit as the least hit time t, ties going to the lowest
+    index, the target included. For each slide direction the open rows carry
+    -A dir (`live`, -inf when closed), so a scan is t = (A p0 - b) / live.
+
+    There is one scan per slide direction and obstacle: a far obstacle moves
+    the center back to its epsilon standoff, and the step after the backoff
+    reuses that scan, taking the same plane, when rounding provably cannot
+    let another plane come first (see _rounding_reach). Any other case,
+    including epsilon = 0 and near-ties, scans again. A p0 - b is
     recomputed only after the center moved, and A dir only after the
     direction changed.
     """
@@ -209,50 +228,65 @@ def resolve_constraint(lp: LinearProgram, state: SolverState, config: SolverConf
     if d is None:
         d = A @ state.p0 - b
     d_at = state.p0
-    open_rows = lp.satisfied(d, feas_tol)
+    open_rows = lp.satisfied(d, feas_tol) if satisfied is None else satisfied
     open_rows[[i, *state.pinned_eq, *state.gutter.indices]] = False
     direction, _ = _slide_direction(lp, state.gutter, state.p0, i, geom_tol, feas_tol, eps)
     if direction is None:
-        _emit(trace, state, EventKind.STALL, "no-slope at cycle start", dir_vec=np.zeros(n))
+        _emit(trace, state, EventKind.STALL, "no-slope at cycle start", stopped=True)
         return ResolveOutcome.STALL, "no-slope"
     state.dir = direction
     scanned_dir = None
     skipped: list[int] = []
     inner_cap = config.inner_cap(lp)
+    backoff = None
+    # bounds |p0| through the cycle, for the rounding reach of a backoff
+    p_size = math.sqrt(state.p0 @ state.p0)
 
     while True:
         if state.p0 is not d_at:
-            d = A @ state.p0 - b
+            d = A @ state.p0
+            d -= b
             d_at = state.p0
         d_i = d[i]
         if lp.row_satisfied(i, d_i, feas_tol):
-            _emit(trace, state, EventKind.RESOLVED, f"target={i}")
+            state.distances = d
+            _emit(trace, state, EventKind.RESOLVED, "target={}", i)
             return ResolveOutcome.RESOLVED, "resolved"
         if state.gutter.size >= n:
-            _emit(trace, state, EventKind.GUTTER_FULL, f"target={i} rows={state.gutter.size}",
-                  dir_vec=np.zeros(n))
+            _emit(trace, state, EventKind.GUTTER_FULL, "target={} rows={}", i, state.gutter.size,
+                  stopped=True)
             return ResolveOutcome.GUTTER_FULL, "gutter-full"
 
         state.inner_iter += 1
         if state.inner_iter > inner_cap:
-            _emit(trace, state, EventKind.STALL, "inner-iteration-cap", dir_vec=np.zeros(n))
+            _emit(trace, state, EventKind.STALL, "inner-iteration-cap", stopped=True)
             return ResolveOutcome.STALL, "inner-iteration-cap"
 
         if state.dir is not scanned_dir:
             scanned_dir = state.dir
             slope = A @ scanned_dir
-            steep = np.abs(slope) > geom_tol
+            live = np.where(open_rows & (np.abs(slope) > geom_tol), -slope, -np.inf)
             slope_i = slope[i]
-        t = np.divide(-d, slope, out=np.full(d.shape, np.inf), where=open_rows & steep)
-        t[t <= geom_tol] = np.inf
-        if abs(slope_i) > geom_tol:
-            # a violated target is hit at its plane; a strict target already on
-            # its plane is hit at the epsilon standoff
+            target_steep = abs(slope_i) > geom_tol
+        # a violated target is hit at its plane; a strict target already on
+        # its plane is hit at the epsilon standoff
+        t_i = np.inf
+        if target_steep:
             t_i = (-d_i if d_i < -feas_tol else eps - d_i) / slope_i
-            if t_i > geom_tol:
-                t[i] = t_i
-        j = int(t.argmin())
-        t_first = t[j]
+            if not t_i > geom_tol:
+                t_i = np.inf
+
+        j = -1
+        if backoff is not None:
+            j, t_first = _first_hit_after_backoff(d, live, t_i, backoff, eps, geom_tol, feas_tol)
+            backoff = None
+        if j < 0:
+            # closed rows divide by -inf and give +-0, which the filter drops
+            t = d / live
+            np.putmask(t, t <= geom_tol, np.inf)
+            t[i] = t_i
+            j = int(t.argmin())
+            t_first = t[j]
         if t_first == np.inf:
             _emit(trace, state, EventKind.STALL, "unbounded-ray")
             return ResolveOutcome.STALL, "unbounded-ray"
@@ -266,13 +300,22 @@ def resolve_constraint(lp: LinearProgram, state: SolverState, config: SolverConf
             t[i] = np.inf
             t_end = min(t_end, t[slope < 0].min(initial=np.inf))
             _advance(state, t_end, trace)
+            p_size += abs(t_end)
             continue
 
         slope_j = abs(slope[j])
         if d[j] > eps + feas_tol:
             # far obstacle: retreat along the ray to an epsilon standoff, keep direction
-            _advance(state, t_first - eps / slope_j, trace)
-            _emit(trace, state, EventKind.OBSTACLE_BACKOFF, f"obstacle={j}")
+            tau = t_first - eps / slope_j
+            before = state.p0
+            _advance(state, tau, trace)
+            p_size += abs(tau)
+            _emit(trace, state, EventKind.OBSTACLE_BACKOFF, "obstacle={}", j)
+            if state.p0 is not before and eps > 0:
+                reach = _rounding_reach(p_size, tau, eps, n, geom_tol)
+                if tau > 2.0 * reach + 1e-9 * t_first:
+                    t[j] = np.inf
+                    backoff = (j, t.min() - tau - 2.0 * reach - 1e-9 * (1.0 + tau + t_first))
             continue
 
         # near obstacle: it touches the ball; put the center at the epsilon
@@ -280,23 +323,73 @@ def resolve_constraint(lp: LinearProgram, state: SolverState, config: SolverConf
         t_place = t_first - (eps / slope_j if eps > 0 else 0.0)
         if t_place > 0:
             _advance(state, t_place, trace)
+            p_size += t_place
         open_rows[j] = False
         if not state.gutter.append_row(j, A[j], b[j], geom_tol):
             skipped.append(j)
-            _emit(trace, state, EventKind.GUTTER_SKIP_DEGENERATE, f"plane={j}")
+            live[j] = -np.inf
+            _emit(trace, state, EventKind.GUTTER_SKIP_DEGENERATE, "plane={}", j)
             continue
-        open_rows[skipped] = True
-        skipped.clear()
+        if skipped:
+            open_rows[skipped] = True
+            skipped.clear()
         if state.gutter.size >= n:
-            _emit(trace, state, EventKind.GUTTER_APPEND, f"plane={j}", dir_vec=np.zeros(n))
+            _emit(trace, state, EventKind.GUTTER_APPEND, "plane={}", j, stopped=True)
             continue
         direction, _ = _slide_direction(lp, state.gutter, state.p0, i, geom_tol, feas_tol, eps)
         if direction is None:
-            _emit(trace, state, EventKind.GUTTER_APPEND, f"plane={j}", dir_vec=np.zeros(n))
-            _emit(trace, state, EventKind.STALL, "no-slope", dir_vec=np.zeros(n))
+            _emit(trace, state, EventKind.GUTTER_APPEND, "plane={}", j, stopped=True)
+            _emit(trace, state, EventKind.STALL, "no-slope", stopped=True)
             return ResolveOutcome.STALL, "no-slope"
         state.dir = direction
-        _emit(trace, state, EventKind.GUTTER_APPEND, f"plane={j}")
+        _emit(trace, state, EventKind.GUTTER_APPEND, "plane={}", j)
+
+
+_UNIT_ROUNDOFF = 2.0 ** -53
+
+
+def _rounding_reach(p_size: float, tau: float, eps: float, n: int, geom_tol: float) -> float:
+    """How far rounding can move an open row's hit time across a backoff of length tau.
+
+    After a far-obstacle backoff, resolve_constraint takes the same obstacle
+    j again, with t'_j = d'_j / live_j exactly as a rescan computes it, when
+    d'_j <= eps + feas_tol, geom_tol < t'_j < t_i (the target's hit time,
+    computed as a rescan does) and t'_j < t2 - tau - 2 reach - 1e-9 (1 + tau +
+    t_j), where t2 is the least hit time of the backoff's scan other than
+    t_j, and tau > 2 reach + 1e-9 t_j. A rescan would then find j as well:
+
+    The backoff moved the center from p0 to p1 = fl(p0 + tau dir) along a
+    unit direction; p_size bounds |p0| and |p1| up to rounding (the cycle's
+    start |p0| plus every step taken since). For a unit row
+    k, the rescan's d'_k = fl(A p1 - b)_k differs from d_k + tau s_k, made of
+    the scan's d_k = fl(A p0 - b)_k and s_k = fl(A dir)_k, by at most
+    gamma_(n+1) (|p0| + 2 |p1| + 2 |tau|) from the two matvecs, the move and
+    s_k, plus u (|d_k| + |d'_k|) from the two subtractions of b. Both hit
+    times divide by the same live_k = -s_k, and every open row has |s_k| >
+    geom_tol, so t'_k = t_k - tau within reach (the first part over
+    geom_tol, doubled, with eps + 1 added to the sizes) and a relative
+    error of a few u, which the 1e-9 relative margins cover. So a row the
+    scan found at t_k >= t2 now hits after t'_j; a row it dropped (t_k <=
+    geom_tol) stays dropped, since tau exceeds the reach; closed and shallow
+    rows keep live = -inf, hence t = +-0, and stay dropped.
+    """
+    size = 3.0 * p_size + 2.0 * abs(tau) + eps + 1.0
+    return 2.0 * (n + 1) * _UNIT_ROUNDOFF * size / geom_tol
+
+
+def _first_hit_after_backoff(d: np.ndarray, live: np.ndarray, t_i: float, backoff: tuple,
+                             eps: float, geom_tol: float, feas_tol: float) -> tuple[int, float]:
+    """(j, t'_j) when the obstacle j of the last backoff provably comes first again.
+
+    backoff is (j, limit) from the backoff's scan; the conditions are those
+    of _rounding_reach, and t'_j is computed as a rescan computes it. Returns
+    (-1, inf) when they fail, and the caller scans.
+    """
+    j, limit = backoff
+    t_j = d[j] / live[j]
+    if d[j] <= eps + feas_tol and geom_tol < t_j < limit and t_j < t_i:
+        return j, t_j
+    return -1, np.inf
 
 
 def _advance(state: SolverState, t: float, trace: TraceSink) -> None:
@@ -309,7 +402,7 @@ def _advance(state: SolverState, t: float, trace: TraceSink) -> None:
     if np.count_nonzero(moved != state.p0):
         state.p0 = moved
         if trace is not None:
-            _emit(trace, state, EventKind.MOVE, f"advance t={t:.9e}")
+            _emit(trace, state, EventKind.MOVE, "advance t={:.9e}", t)
 
 
 def repair_or_conclude(lp: LinearProgram, state: SolverState, config: SolverConfig,
@@ -338,8 +431,9 @@ def repair_or_conclude(lp: LinearProgram, state: SolverState, config: SolverConf
             return RepairOutcome.INFEASIBLE
         state.pinned_eq = new_pinned
         state.p0 = point
-        _emit(trace, state, EventKind.EQUALITY_SWITCH,
-              f"pinned={sorted(new_pinned)}", dir_vec=np.zeros(lp.dimension))
+        if trace is not None:
+            _emit(trace, state, EventKind.EQUALITY_SWITCH, "pinned={}", sorted(new_pinned),
+                  stopped=True)
         return RepairOutcome.EQUALITY_MODE
 
     others_ok = lp.satisfied(d_origin, feas_tol)
@@ -360,8 +454,7 @@ def repair_or_conclude(lp: LinearProgram, state: SolverState, config: SolverConf
             return RepairOutcome.FAILED
         state.epsilon = new_eps
         state.p0 = center
-        _emit(trace, state, EventKind.SHRINK_BALL, f"epsilon={new_eps:.9e}",
-              dir_vec=np.zeros(lp.dimension))
+        _emit(trace, state, EventKind.SHRINK_BALL, "epsilon={:.9e}", new_eps, stopped=True)
         return RepairOutcome.SHRUNK_BALL
 
     return RepairOutcome.INFEASIBLE
@@ -399,6 +492,7 @@ def _solve_feasibility_state(lp: LinearProgram, config: SolverConfig,
     state = SolverState(p0=p0, epsilon=config.epsilon, gutter=GutterBasis(lp.dimension),
                         pinned_eq=pinned)
     outer_cap = config.outer_cap(lp)
+    d = None
 
     while True:
         state.outer_iter += 1
@@ -406,12 +500,16 @@ def _solve_feasibility_state(lp: LinearProgram, config: SolverConfig,
             diagnostics.append("outer-iteration-cap")
             return _result(Verdict.STALLED, state, diagnostics), state
 
-        d = lp.A @ state.p0 - lp.b
-        violated = ~lp.satisfied(d, config.feas_tol)
-        if not violated.any():
+        # after a RESOLVED cycle the center has not moved since its last distances
+        if d is None:
+            d = lp.A @ state.p0 - lp.b
+        satisfied = lp.satisfied(d, config.feas_tol)
+        if satisfied.all():
             return _result(Verdict.FEASIBLE, state, diagnostics, point=state.p0), state
 
-        violated[list(state.pinned_eq)] = False
+        violated = ~satisfied
+        if state.pinned_eq:
+            violated[list(state.pinned_eq)] = False
         if not violated.any():
             diagnostics.append("all violated constraints are pinned equalities")
             return _result(Verdict.STALLED, state, diagnostics), state
@@ -420,12 +518,14 @@ def _solve_feasibility_state(lp: LinearProgram, config: SolverConfig,
         state.target_index = target
         _repin(state.gutter, lp, state.pinned_eq, config.geom_tol)
         state.dir = None
-        _emit(trace, state, EventKind.SELECT_TARGET, f"target={target} distance={d[target]:.9e}",
-              dir_vec=np.zeros(lp.dimension))
+        _emit(trace, state, EventKind.SELECT_TARGET, "target={} distance={:.9e}", target, d[target],
+              stopped=True)
 
-        outcome, detail = resolve_constraint(lp, state, config, trace, d)
+        outcome, detail = resolve_constraint(lp, state, config, trace, d, satisfied)
         if outcome is ResolveOutcome.RESOLVED:
+            d = state.distances
             continue
+        d = None
         if state.gutter.size == 0:
             diagnostics.append(detail)
             return _result(Verdict.STALLED, state, diagnostics), state
@@ -512,8 +612,8 @@ def solve_optimum(lp: LinearProgram, config: Optional[SolverConfig] = None,
         state.target_index = m
         _repin(state.gutter, lp, state.pinned_eq, config.geom_tol)
         state.dir = None
-        _emit(trace, state, EventKind.SELECT_TARGET,
-              f"target={m} artificial M={big_m:.9e}", dir_vec=np.zeros(lp.dimension))
+        _emit(trace, state, EventKind.SELECT_TARGET, "target={} artificial M={:.9e}", m, big_m,
+              stopped=True)
         outcome, detail = resolve_constraint(lp_aug, state, config, trace)
 
         if outcome is ResolveOutcome.RESOLVED:
@@ -523,8 +623,7 @@ def solve_optimum(lp: LinearProgram, config: Optional[SolverConfig] = None,
             escalations += 1
             big_m *= config.big_M_growth
             last_stall_height = None
-            _emit(trace, state, EventKind.M_ESCALATION, f"M={big_m:.9e}",
-                  dir_vec=np.zeros(lp.dimension))
+            _emit(trace, state, EventKind.M_ESCALATION, "M={:.9e}", big_m, stopped=True)
             continue
 
         # stalled or full gutter: take the gutter intersection as an optimum

@@ -57,6 +57,25 @@ class TestParse:
         assert cli.parse_lp_document(cli.serialize_lp(doc)) == doc
 
 
+    def test_arrays_match_a_row_by_row_build(self):
+        text = ("vars 3\nobjective min 1 -2 0.5\nc 1 -0.0 2.5 <= 4\nc 0 1e-300 -3 > -1\n"
+                "c 0.1 0.2 0.3 = 0.6\nc -7 0 1 < 0\nc 2 2 2 >= -0.0\n")
+        doc = cli.parse_lp_document(text)
+        lp = cli.document_to_lp(doc)
+        normals, offsets, senses = [], [], []
+        for coeffs, op, rhs in doc.rows:
+            sign = -1.0 if op in ("<=", "<") else 1.0
+            normals.append(sign * np.asarray(coeffs, dtype=float))
+            offsets.append(sign * rhs)
+            senses.append({">=": Sense.GE, "<=": Sense.GE, ">": Sense.GT, "<": Sense.GT,
+                           "=": Sense.EQ}[op])
+        norms = np.linalg.norm(np.array(normals), axis=1)
+        assert lp.A.tobytes() == (np.array(normals) / norms[:, None]).tobytes()
+        assert lp.b.tobytes() == (np.array(offsets) / norms).tobytes()
+        assert lp.senses == tuple(senses)
+        assert not np.signbit(lp.A[0, 1]) and np.signbit(lp.b[4])
+
+
 class TestSolveCommand:
     def test_feasibility_record(self, tmp_path, capsys):
         path = tmp_path / "two.lp"
@@ -161,6 +180,26 @@ class TestSolveCommand:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
+
+    def test_negative_start_in_either_form(self, tmp_path, capsys):
+        path = tmp_path / "two.lp"
+        path.write_text(TWO_PLANE)
+        records = []
+        for args in (["--start", "-1,2"], ["--start=-1,2"], ["--start", "-.5,-2"]):
+            code = cli.main(["solve", str(path), *args])
+            records.append(capsys.readouterr().out)
+            assert code == 0
+        assert records[0] == records[1]
+        assert json.loads(records[2])["verdict"] == "FEASIBLE"
+
+    @pytest.mark.parametrize("args", [["--start", "-x"], ["--start"], ["--start", "--trace", "t"]])
+    def test_start_that_is_not_a_point_is_a_usage_error(self, tmp_path, capsys, args):
+        path = tmp_path / "two.lp"
+        path.write_text(TWO_PLANE)
+        code = cli.main(["solve", str(path), *args])
+        captured = capsys.readouterr()
+        assert code == 64
+        assert captured.out == ""
 
     def test_svg_rejected_for_other_dims(self, tmp_path, capsys):
         path = tmp_path / "one.lp"

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gutterlp.model import (
     DimensionMismatchError,
@@ -106,6 +108,46 @@ class TestRowSatisfied:
         for i, d_i in enumerate(distances):
             assert lp.row_satisfied(i, d_i, tol) == mask[i], (sense, d_i)
             assert lp.row_satisfied(i, float(d_i), tol) == mask[i], (sense, d_i)
+
+
+def _three_where_mask(lp, d, tol):
+    """The per-sense formula the interval bounds of `satisfied` replace."""
+    return np.where(lp.equalities, np.abs(d) <= tol,
+                    np.where(lp.strict, d > tol, d >= -tol))
+
+
+def _near_tolerance(tol):
+    up, down = np.nextafter(tol, np.inf), np.nextafter(tol, -np.inf)
+    return [-2 * tol, -tol, -up, -down, 0.0, -0.0, down, tol, up, 2 * tol]
+
+
+class TestSatisfiedBounds:
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.lists(st.tuples(st.sampled_from([Sense.GE, Sense.GT, Sense.EQ]),
+                                   st.integers(0, 9)), min_size=1, max_size=30),
+           tol=st.sampled_from([1e-8, 1e-12, 0.5, 3.0, 2.0 ** -30]))
+    def test_bounds_equal_the_per_sense_formula(self, rows, tol):
+        senses = [sense for sense, _ in rows]
+        d = np.array([_near_tolerance(tol)[k] for _, k in rows])
+        lp = make_lp(np.ones((len(rows), 1)), np.zeros(len(rows)), senses)
+        assert lp.satisfied(d, tol).tolist() == _three_where_mask(lp, d, tol).tolist()
+
+    def test_bounds_follow_the_tolerance(self):
+        lp = make_lp(np.ones((3, 1)), np.zeros(3), [Sense.GE, Sense.GT, Sense.EQ])
+        d = np.array([-1e-6, 1e-6, 1e-6])
+        assert lp.satisfied(d, 1e-8).tolist() == [False, True, False]
+        assert lp.satisfied(d, 1e-5).tolist() == [True, False, True]
+        assert lp.satisfied(d, 1e-8).tolist() == [False, True, False]
+
+    def test_non_finite_distances(self):
+        lp = make_lp(np.ones((3, 1)), np.zeros(3), [Sense.GE, Sense.GT, Sense.EQ])
+        for value in (np.inf, -np.inf, np.nan):
+            d = np.full(3, value)
+            assert lp.satisfied(d, 1e-8).tolist() == _three_where_mask(lp, d, 1e-8).tolist()
+
+    def test_unknown_sense_rejected(self):
+        with pytest.raises(ValueError, match="constraint 1: unknown sense"):
+            make_lp(np.ones((2, 1)), np.zeros(2), [Sense.GE, ">="])
 
 
 class TestTypes:
