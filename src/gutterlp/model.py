@@ -166,21 +166,11 @@ class LinearProgram:
 
         Each sense is a closed interval lo <= d <= hi: GE is [-tol, inf], EQ
         is [-tol, tol] (|d| <= tol), and GT is [nextafter(tol, inf), inf],
-        which holds for exactly the doubles d > tol. The bounds are built once
-        per program and tolerance.
+        which holds for exactly the doubles d > tol.
         """
-        lo, hi = self._sense_bounds(feas_tol)
+        lo = np.where(self.strict, np.nextafter(feas_tol, np.inf), -feas_tol)
+        hi = np.where(self.equalities, feas_tol, np.inf)
         return (lo <= d) & (d <= hi)
-
-    def _sense_bounds(self, feas_tol: float) -> tuple[np.ndarray, np.ndarray]:
-        cached = self.__dict__.get("_bounds")
-        if cached is None or cached[0] != feas_tol:
-            lo = np.where(self.strict, np.nextafter(feas_tol, np.inf), -feas_tol)
-            hi = np.where(self.equalities, feas_tol, np.inf)
-            # one attribute write, so a concurrent solve sees either bounds or none
-            cached = (feas_tol, _readonly(lo), _readonly(hi))
-            object.__setattr__(self, "_bounds", cached)
-        return cached[1], cached[2]
 
     def row_satisfied(self, i: int, d_i: float, feas_tol: float) -> bool:
         """Whether row i meets its sense at signed distance d_i; entry i of satisfied()."""

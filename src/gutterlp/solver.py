@@ -210,13 +210,10 @@ def resolve_constraint(lp: LinearProgram, state: SolverState, config: SolverConf
     index, the target included. For each slide direction the open rows carry
     -A dir (`live`, -inf when closed), so a scan is t = (A p0 - b) / live.
 
-    There is one scan per slide direction and obstacle: a far obstacle moves
-    the center back to its epsilon standoff, and the step after the backoff
-    reuses that scan, taking the same plane, when rounding provably cannot
-    let another plane come first (see _rounding_reach). Any other case,
-    including epsilon = 0 and near-ties, scans again. A p0 - b is
-    recomputed only after the center moved, and A dir only after the
-    direction changed.
+    A far obstacle moves the center back to its epsilon standoff and keeps
+    the direction; the next step scans again from there and meets the
+    obstacle as a near one. A p0 - b is recomputed only after the center
+    moved, and A dir and live only after the direction changed.
     """
     i = state.target_index
     A, b = lp.A, lp.b
@@ -238,9 +235,6 @@ def resolve_constraint(lp: LinearProgram, state: SolverState, config: SolverConf
     scanned_dir = None
     skipped: list[int] = []
     inner_cap = config.inner_cap(lp)
-    backoff = None
-    # bounds |p0| through the cycle, for the rounding reach of a backoff
-    p_size = math.sqrt(state.p0 @ state.p0)
 
     while True:
         if state.p0 is not d_at:
@@ -276,17 +270,12 @@ def resolve_constraint(lp: LinearProgram, state: SolverState, config: SolverConf
             if not t_i > geom_tol:
                 t_i = np.inf
 
-        j = -1
-        if backoff is not None:
-            j, t_first = _first_hit_after_backoff(d, live, t_i, backoff, eps, geom_tol, feas_tol)
-            backoff = None
-        if j < 0:
-            # closed rows divide by -inf and give +-0, which the filter drops
-            t = d / live
-            np.putmask(t, t <= geom_tol, np.inf)
-            t[i] = t_i
-            j = int(t.argmin())
-            t_first = t[j]
+        # closed rows divide by -inf and give +-0, which the filter drops
+        t = d / live
+        np.putmask(t, t <= geom_tol, np.inf)
+        t[i] = t_i
+        j = int(t.argmin())
+        t_first = t[j]
         if t_first == np.inf:
             _emit(trace, state, EventKind.STALL, "unbounded-ray")
             return ResolveOutcome.STALL, "unbounded-ray"
@@ -300,22 +289,13 @@ def resolve_constraint(lp: LinearProgram, state: SolverState, config: SolverConf
             t[i] = np.inf
             t_end = min(t_end, t[slope < 0].min(initial=np.inf))
             _advance(state, t_end, trace)
-            p_size += abs(t_end)
             continue
 
         slope_j = abs(slope[j])
         if d[j] > eps + feas_tol:
             # far obstacle: retreat along the ray to an epsilon standoff, keep direction
-            tau = t_first - eps / slope_j
-            before = state.p0
-            _advance(state, tau, trace)
-            p_size += abs(tau)
+            _advance(state, t_first - eps / slope_j, trace)
             _emit(trace, state, EventKind.OBSTACLE_BACKOFF, "obstacle={}", j)
-            if state.p0 is not before and eps > 0:
-                reach = _rounding_reach(p_size, tau, eps, n, geom_tol)
-                if tau > 2.0 * reach + 1e-9 * t_first:
-                    t[j] = np.inf
-                    backoff = (j, t.min() - tau - 2.0 * reach - 1e-9 * (1.0 + tau + t_first))
             continue
 
         # near obstacle: it touches the ball; put the center at the epsilon
@@ -323,7 +303,6 @@ def resolve_constraint(lp: LinearProgram, state: SolverState, config: SolverConf
         t_place = t_first - (eps / slope_j if eps > 0 else 0.0)
         if t_place > 0:
             _advance(state, t_place, trace)
-            p_size += t_place
         open_rows[j] = False
         if not state.gutter.append_row(j, A[j], b[j], geom_tol):
             skipped.append(j)
@@ -343,53 +322,6 @@ def resolve_constraint(lp: LinearProgram, state: SolverState, config: SolverConf
             return ResolveOutcome.STALL, "no-slope"
         state.dir = direction
         _emit(trace, state, EventKind.GUTTER_APPEND, "plane={}", j)
-
-
-_UNIT_ROUNDOFF = 2.0 ** -53
-
-
-def _rounding_reach(p_size: float, tau: float, eps: float, n: int, geom_tol: float) -> float:
-    """How far rounding can move an open row's hit time across a backoff of length tau.
-
-    After a far-obstacle backoff, resolve_constraint takes the same obstacle
-    j again, with t'_j = d'_j / live_j exactly as a rescan computes it, when
-    d'_j <= eps + feas_tol, geom_tol < t'_j < t_i (the target's hit time,
-    computed as a rescan does) and t'_j < t2 - tau - 2 reach - 1e-9 (1 + tau +
-    t_j), where t2 is the least hit time of the backoff's scan other than
-    t_j, and tau > 2 reach + 1e-9 t_j. A rescan would then find j as well:
-
-    The backoff moved the center from p0 to p1 = fl(p0 + tau dir) along a
-    unit direction; p_size bounds |p0| and |p1| up to rounding (the cycle's
-    start |p0| plus every step taken since). For a unit row
-    k, the rescan's d'_k = fl(A p1 - b)_k differs from d_k + tau s_k, made of
-    the scan's d_k = fl(A p0 - b)_k and s_k = fl(A dir)_k, by at most
-    gamma_(n+1) (|p0| + 2 |p1| + 2 |tau|) from the two matvecs, the move and
-    s_k, plus u (|d_k| + |d'_k|) from the two subtractions of b. Both hit
-    times divide by the same live_k = -s_k, and every open row has |s_k| >
-    geom_tol, so t'_k = t_k - tau within reach (the first part over
-    geom_tol, doubled, with eps + 1 added to the sizes) and a relative
-    error of a few u, which the 1e-9 relative margins cover. So a row the
-    scan found at t_k >= t2 now hits after t'_j; a row it dropped (t_k <=
-    geom_tol) stays dropped, since tau exceeds the reach; closed and shallow
-    rows keep live = -inf, hence t = +-0, and stay dropped.
-    """
-    size = 3.0 * p_size + 2.0 * abs(tau) + eps + 1.0
-    return 2.0 * (n + 1) * _UNIT_ROUNDOFF * size / geom_tol
-
-
-def _first_hit_after_backoff(d: np.ndarray, live: np.ndarray, t_i: float, backoff: tuple,
-                             eps: float, geom_tol: float, feas_tol: float) -> tuple[int, float]:
-    """(j, t'_j) when the obstacle j of the last backoff provably comes first again.
-
-    backoff is (j, limit) from the backoff's scan; the conditions are those
-    of _rounding_reach, and t'_j is computed as a rescan computes it. Returns
-    (-1, inf) when they fail, and the caller scans.
-    """
-    j, limit = backoff
-    t_j = d[j] / live[j]
-    if d[j] <= eps + feas_tol and geom_tol < t_j < limit and t_j < t_i:
-        return j, t_j
-    return -1, np.inf
 
 
 def _advance(state: SolverState, t: float, trace: TraceSink) -> None:
@@ -431,9 +363,8 @@ def repair_or_conclude(lp: LinearProgram, state: SolverState, config: SolverConf
             return RepairOutcome.INFEASIBLE
         state.pinned_eq = new_pinned
         state.p0 = point
-        if trace is not None:
-            _emit(trace, state, EventKind.EQUALITY_SWITCH, "pinned={}", sorted(new_pinned),
-                  stopped=True)
+        _emit(trace, state, EventKind.EQUALITY_SWITCH, "pinned={}", sorted(new_pinned),
+              stopped=True)
         return RepairOutcome.EQUALITY_MODE
 
     others_ok = lp.satisfied(d_origin, feas_tol)

@@ -22,7 +22,6 @@ from gutterlp.solver import (
     solve_feasibility,
     solve_optimum,
 )
-from gutterlp import solver as solver_module
 from gutterlp import testkit
 
 
@@ -291,35 +290,17 @@ class TestTraceInvariants:
         assert runs[0] == runs[1]
 
 
-def _event_record(events):
-    return [(e.iteration, e.kind, e.p0, e.dir, e.gutter_indices, e.detail) for e in events]
-
-
 def _result_record(result):
     point = None if result.point is None else result.point.tobytes()
     return (result.verdict, result.iterations, point, result.objective_value,
             result.epsilon_final, result.diagnostics)
 
 
-class TestOneScanPerDirection:
-    """After a far-obstacle backoff the next step reuses the backoff's scan."""
+class TestFarObstacle:
+    """A far obstacle is backed off from, then found again as a near one."""
 
-    @staticmethod
-    def spy(monkeypatch):
-        """Record what each post-backoff shortcut returned (plane, or -1 for a rescan)."""
-        calls = []
-        real = solver_module._first_hit_after_backoff
-
-        def recorded(*args):
-            found = real(*args)
-            calls.append(found[0])
-            return found
-        monkeypatch.setattr(solver_module, "_first_hit_after_backoff", recorded)
-        return calls
-
-    def test_far_obstacle_backs_off_then_joins_the_gutter(self, monkeypatch):
+    def test_far_obstacle_backs_off_then_joins_the_gutter(self):
         # heading for x >= 2 from (0, 0.5), the ball meets x + y <= 1.5 far away
-        calls = self.spy(monkeypatch)
         lp = make_lp([[-1.0, -1.0], [1.0, 0.0]], [-1.5, 2.0])
         state = SolverState(p0=np.array([0.0, 0.5]), epsilon=0.01,
                             gutter=GutterBasis(2), target_index=1)
@@ -334,13 +315,11 @@ class TestOneScanPerDirection:
             (3, EventKind.RESOLVED, "target=1"),
         ]
         assert state.inner_iter == 3
-        assert calls == [0]
         # the distances handed back belong to the final center
         assert np.array_equal(state.distances, lp.A @ state.p0 - lp.b)
 
-    def test_tied_planes_rescan_and_append_the_lower_index(self, monkeypatch):
+    def test_tied_planes_append_the_lower_index(self):
         # x + y <= 1 and x - y <= 1 are both hit at t = 1 on the way to x >= 2
-        calls = self.spy(monkeypatch)
         lp = make_lp([[-1.0, -1.0], [-1.0, 1.0], [1.0, 0.0]], [-1.0, -1.0, 2.0])
         state = SolverState(p0=np.zeros(2), epsilon=0.01, gutter=GutterBasis(2), target_index=2)
         events = []
@@ -352,65 +331,6 @@ class TestOneScanPerDirection:
             (EventKind.GUTTER_APPEND, "plane=1"),
             (EventKind.GUTTER_FULL, "target=2 rows=2"),
         ]
-        assert calls == [-1]
-
-    def test_nearly_parallel_plane_forces_a_rescan(self, monkeypatch):
-        # plane 1 is almost parallel to the +x slide (slope 2.5e-8) and is hit
-        # 1.7e-7 after the obstacle x <= x0 + length. Rounding in its distance
-        # at |p0| ~ 225 moves its hit time by up to ~1e-6, so a margin of 1e-9
-        # (1 + t) would take the obstacle again, while the rescan after the
-        # backoff finds plane 1 first
-        x, y = 164.1183176875224, -155.42511846585668
-        s, length = 2.4752889521358402e-08, 1.057781854805159
-        t_k = length + 1.6660781005219166e-07
-        c = np.sqrt(1.0 - s * s)
-        lp = make_lp([[-1.0, 0.0], [-s, c], [1.0, 0.0]],
-                     [-(x + length), -s * x + c * y - s * t_k, x + length + 5.0])
-        runs = []
-        for rescan_always in (False, True):
-            if rescan_always:
-                monkeypatch.setattr(solver_module, "_first_hit_after_backoff",
-                                    lambda *args: (-1, np.inf))
-            else:
-                calls = self.spy(monkeypatch)
-            state = SolverState(p0=np.array([x, y]), epsilon=0.01, gutter=GutterBasis(2),
-                                target_index=2)
-            events = []
-            resolve_constraint(lp, state, CFG, events.append)
-            runs.append(_event_record(events))
-        assert runs[0] == runs[1]
-        details = [e[5] for e in runs[1] if e[1] is not EventKind.MOVE]
-        assert details[:2] == ["obstacle=0", "plane=1"]
-        assert calls == [-1]
-
-    def test_zero_radius_always_rescans(self, monkeypatch):
-        calls = self.spy(monkeypatch)
-        lp = make_lp([[-1.0, -1.0], [1.0, 0.0]], [-1.5, 2.0])
-        state = SolverState(p0=np.array([0.0, 0.5]), epsilon=0.0,
-                            gutter=GutterBasis(2), target_index=1)
-        resolve_constraint(lp, state, SolverConfig(epsilon=0.0))
-        assert calls == []
-
-    @pytest.mark.parametrize("family,n,m", [("feasible", 3, 8), ("feasible", 10, 50),
-                                            ("infeasible", 10, 50), ("feasible", 20, 200),
-                                            ("optimize", 4, 12), ("optimize", 10, 50)])
-    def test_same_results_and_events_as_a_rescan_after_every_backoff(self, monkeypatch,
-                                                                      family, n, m):
-        calls = self.spy(monkeypatch)
-        runs = []
-        for rescan_always in (False, True):
-            if rescan_always:
-                monkeypatch.setattr(solver_module, "_first_hit_after_backoff",
-                                    lambda *args: (-1, np.inf))
-            outputs = []
-            for seed in range(8):
-                lp, solve = _instance(family, n, m, seed)
-                events = []
-                outputs.append((_result_record(solve(lp, trace=events.append)),
-                                _event_record(events)))
-            runs.append(outputs)
-        assert runs[0] == runs[1]
-        assert any(plane >= 0 for plane in calls)
 
 
 def _instance(family, n, m, seed):
