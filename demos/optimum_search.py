@@ -40,8 +40,8 @@ print("random bounded instances, solver vs oracle:")
 for seed in range(5):
     n = int(rng.integers(2, 5))
     inst = testkit.gen_feasible(n, int(rng.integers(3, 8)), 0.2, seed)
-    normals = np.vstack([inst.lp.matrix(), np.eye(n), -np.eye(n)])
-    offsets = np.concatenate([inst.lp.offsets(), np.full(2 * n, -3.0)])
+    normals = np.vstack([inst.lp.A, np.eye(n), -np.eye(n)])
+    offsets = np.concatenate([inst.lp.b, np.full(2 * n, -3.0)])
     c = rng.standard_normal(n)
     c /= np.linalg.norm(c)
     boxed = LinearProgram.from_arrays(normals, offsets,

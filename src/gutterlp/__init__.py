@@ -19,7 +19,7 @@ from .model import (
     normalize,
 )
 from .geometry import project_onto_intersection
-from .gram import DegenerateBasisError, DuplicateIndexError, GutterBasis
+from .gram import DuplicateIndexError, GutterBasis
 from .solver import (
     EventKind,
     InconsistentEqualityError,
@@ -35,7 +35,6 @@ from .solver import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "DegenerateBasisError",
     "DimensionMismatchError",
     "Direction",
     "DuplicateIndexError",

@@ -196,11 +196,8 @@ def _event_record(event: TraceEvent) -> str:
 
 
 def _read_file(path: str) -> str:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return handle.read()
-    except OSError as exc:
-        raise FileNotFoundError(str(exc)) from exc
+    with open(path, "r", encoding="utf-8") as handle:
+        return handle.read()
 
 
 def _build_config(args) -> SolverConfig:
@@ -212,8 +209,7 @@ def _build_config(args) -> SolverConfig:
     if args.geom_tol is not None:
         kwargs["geom_tol"] = args.geom_tol
     if args.max_iter is not None:
-        kwargs["max_outer_iters"] = args.max_iter
-        kwargs["max_inner_iters"] = args.max_iter
+        kwargs["max_iters"] = args.max_iter
     return SolverConfig(**kwargs)
 
 
@@ -224,7 +220,7 @@ def _open_output(outputs: ExitStack, path: Optional[str]):
 def run_solve(args) -> int:
     try:
         text = _read_file(args.file)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOINPUT
     try:
@@ -349,7 +345,7 @@ def _generate(args):
 def run_oracle(args) -> int:
     try:
         text = _read_file(args.file)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOINPUT
     try:
@@ -531,7 +527,8 @@ def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--epsilon", type=float, default=None, help="ball radius")
     parser.add_argument("--feas-tol", type=float, default=None, dest="feas_tol")
     parser.add_argument("--geom-tol", type=float, default=None, dest="geom_tol")
-    parser.add_argument("--max-iter", type=int, default=None, dest="max_iter")
+    parser.add_argument("--max-iter", type=int, default=None, dest="max_iter",
+                        help="cap on both the outer cycles and the inner steps of each cycle")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .gram import DegenerateBasisError, GutterBasis
+from .gram import GutterBasis
 from .model import DimensionMismatchError, _as_vector
 
 
@@ -26,7 +26,5 @@ def project_onto_intersection(basis: GutterBasis, p, targets) -> np.ndarray:
         )
     if basis.size == 0:
         return p.copy()
-    if basis.size > basis.dimension:
-        raise DegenerateBasisError("basis has more rows than the space has dimensions")
     d = basis.normals_matrix() @ p - basis.offsets_vector()
     return p - basis.correction(d - targets)

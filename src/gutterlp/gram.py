@@ -28,10 +28,6 @@ class DuplicateIndexError(ValueError):
     pass
 
 
-class DegenerateBasisError(RuntimeError):
-    """The Gram inverse is unavailable for the requested operation."""
-
-
 class GutterBasis:
     """Ordered unit rows (constraint index, normal, plane offset) plus (G G^T)^-1.
 

@@ -151,10 +151,6 @@ class LinearProgram:
     def num_constraints(self) -> int:
         return self.A.shape[0]
 
-    @property
-    def is_normalized(self) -> bool:
-        return bool(np.all(np.abs(np.linalg.norm(self.A, axis=1) - 1.0) <= 1e-12))
-
     def matrix(self) -> np.ndarray:
         return self.A.copy()
 
@@ -210,17 +206,14 @@ class SolverConfig:
 
     epsilon is the ball radius. epsilon == 0.0 is accepted only to reproduce
     the known ball-less failure mode in regression tests; any positive value
-    must exceed geom_tol. Iteration caps default to 10*m*n (outer) and
-    100*n (inner) when left unset.
+    must exceed geom_tol. max_iters caps both the outer cycles and the inner
+    steps of each cycle; left unset, they default to 10*m*n and 100*n.
     """
 
     epsilon: float = 1e-2
     geom_tol: float = 1e-9
     feas_tol: float = 1e-8
-    max_outer_iters: Optional[int] = None
-    max_inner_iters: Optional[int] = None
-    big_M_growth: float = 8.0
-    max_M_escalations: int = 6
+    max_iters: Optional[int] = None
 
     def __post_init__(self):
         if self.geom_tol <= 0:
@@ -231,22 +224,17 @@ class SolverConfig:
             raise ValueError("epsilon must exceed geom_tol (or be exactly 0)")
         if self.epsilon < 0:
             raise ValueError("epsilon must be nonnegative")
-        if self.big_M_growth <= 1:
-            raise ValueError("big_M_growth must exceed 1")
-        if self.max_M_escalations < 1:
-            raise ValueError("max_M_escalations must be positive")
-        for cap in (self.max_outer_iters, self.max_inner_iters):
-            if cap is not None and cap < 1:
-                raise ValueError("iteration caps must be positive")
+        if self.max_iters is not None and self.max_iters < 1:
+            raise ValueError("max_iters must be positive")
 
     def outer_cap(self, lp: LinearProgram) -> int:
-        if self.max_outer_iters is not None:
-            return self.max_outer_iters
+        if self.max_iters is not None:
+            return self.max_iters
         return 10 * lp.num_constraints * lp.dimension
 
     def inner_cap(self, lp: LinearProgram) -> int:
-        if self.max_inner_iters is not None:
-            return self.max_inner_iters
+        if self.max_iters is not None:
+            return self.max_iters
         return 100 * lp.dimension
 
 

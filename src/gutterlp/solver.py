@@ -62,6 +62,11 @@ class TraceEvent:
 
 TraceSink = Optional[Callable[[TraceEvent], None]]
 
+# phase II raises the artificial objective bound M by this factor after each
+# resolved cycle, and calls the program unbounded after this many raises
+BIG_M_GROWTH = 8.0
+MAX_M_ESCALATIONS = 6
+
 
 class InconsistentEqualityError(Exception):
     """Equality constraints admit no common point."""
@@ -75,15 +80,18 @@ class SolverState:
     dir: Optional[np.ndarray] = None
     target_index: int = -1
     pinned_eq: set[int] = field(default_factory=set)
-    outer_iter: int = 0
     inner_iter: int = 0
     distances: Optional[np.ndarray] = None  # A p0 - b when resolve_constraint returned RESOLVED
 
 
 class ResolveOutcome(Enum):
+    """How a resolve cycle ended; each value is the text the diagnostics report."""
+
     RESOLVED = "resolved"
     GUTTER_FULL = "gutter-full"
-    STALL = "stall"
+    NO_SLOPE = "no-slope"
+    INNER_CAP = "inner-iteration-cap"
+    UNBOUNDED_RAY = "unbounded-ray"
 
 
 class RepairOutcome(Enum):
@@ -113,18 +121,26 @@ def _emit(trace: TraceSink, state: SolverState, kind: EventKind, detail: str = "
     ))
 
 
-def initial_point(lp: LinearProgram, geom_tol: float = 1e-9, feas_tol: float = 1e-8) -> np.ndarray:
-    """Default start: the origin, projected onto the equality planes if any.
+def initial_point(lp: LinearProgram, geom_tol: float = 1e-9, feas_tol: float = 1e-8,
+                  start=None) -> np.ndarray:
+    """The solve's start: `start` (the origin when None), projected onto the equality planes.
 
-    Dependent but consistent equality rows are dropped from the projection;
-    an equality left unsatisfied by the projection means the equalities are
+    A start of the wrong length raises DimensionMismatchError. Dependent but
+    consistent equality rows are dropped from the projection; an equality
+    left unsatisfied by the projection means the equalities are
     contradictory and InconsistentEqualityError is raised.
     """
+    if start is None:
+        p = np.zeros(lp.dimension)
+    else:
+        p = _as_vector(start, "start point").copy()
+        if p.shape[0] != lp.dimension:
+            raise DimensionMismatchError(
+                f"start point has length {p.shape[0]}, expected {lp.dimension}")
     eq_indices = np.flatnonzero(lp.equalities).tolist()
-    origin = np.zeros(lp.dimension)
     if not eq_indices:
-        return origin
-    point, ok = _project_onto_planes(lp, eq_indices, origin, geom_tol, feas_tol)
+        return p
+    point, ok = _project_onto_planes(lp, eq_indices, p, geom_tol, feas_tol)
     if not ok:
         raise InconsistentEqualityError("equality constraints are contradictory")
     return point
@@ -193,15 +209,18 @@ def _slide_direction(lp: LinearProgram, basis: GutterBasis, p0: np.ndarray,
 
 def resolve_constraint(lp: LinearProgram, state: SolverState, config: SolverConfig,
                        trace: TraceSink = None, d: Optional[np.ndarray] = None,
-                       satisfied: Optional[np.ndarray] = None) -> tuple[ResolveOutcome, str]:
+                       satisfied: Optional[np.ndarray] = None) -> ResolveOutcome:
     """Drive the ball until the target constraint is satisfied or progress dies.
 
     Expects unit rows (see normalize), state.target_index violated at
     state.p0 and state.gutter holding only the pinned equality rows. Mutates
-    state in place; after RESOLVED, state.distances holds A p0 - b at the
-    final center. `d`, when given, must be A p0 - b at the current center and
-    `satisfied` its lp.satisfied mask, as the caller's violation check
-    already computed them; the cycle takes the mask over and modifies it.
+    state in place and returns how the cycle ended: RESOLVED, GUTTER_FULL,
+    NO_SLOPE (no direction along the gutter approaches the target),
+    INNER_CAP or UNBOUNDED_RAY (no plane stops the ball). After RESOLVED,
+    state.distances holds A p0 - b at the final center. `d`, when given,
+    must be A p0 - b at the current center and `satisfied` its lp.satisfied
+    mask, as the caller's violation check already computed them; the cycle
+    takes the mask over and modifies it.
 
     The planes that can stop the ball are the rows satisfied when the cycle
     starts, less the target, the pinned and gutter rows, and rows whose
@@ -230,7 +249,7 @@ def resolve_constraint(lp: LinearProgram, state: SolverState, config: SolverConf
     direction, _ = _slide_direction(lp, state.gutter, state.p0, i, geom_tol, feas_tol, eps)
     if direction is None:
         _emit(trace, state, EventKind.STALL, "no-slope at cycle start", stopped=True)
-        return ResolveOutcome.STALL, "no-slope"
+        return ResolveOutcome.NO_SLOPE
     state.dir = direction
     scanned_dir = None
     skipped: list[int] = []
@@ -245,16 +264,16 @@ def resolve_constraint(lp: LinearProgram, state: SolverState, config: SolverConf
         if lp.row_satisfied(i, d_i, feas_tol):
             state.distances = d
             _emit(trace, state, EventKind.RESOLVED, "target={}", i)
-            return ResolveOutcome.RESOLVED, "resolved"
+            return ResolveOutcome.RESOLVED
         if state.gutter.size >= n:
             _emit(trace, state, EventKind.GUTTER_FULL, "target={} rows={}", i, state.gutter.size,
                   stopped=True)
-            return ResolveOutcome.GUTTER_FULL, "gutter-full"
+            return ResolveOutcome.GUTTER_FULL
 
         state.inner_iter += 1
         if state.inner_iter > inner_cap:
             _emit(trace, state, EventKind.STALL, "inner-iteration-cap", stopped=True)
-            return ResolveOutcome.STALL, "inner-iteration-cap"
+            return ResolveOutcome.INNER_CAP
 
         if state.dir is not scanned_dir:
             scanned_dir = state.dir
@@ -278,7 +297,7 @@ def resolve_constraint(lp: LinearProgram, state: SolverState, config: SolverConf
         t_first = t[j]
         if t_first == np.inf:
             _emit(trace, state, EventKind.STALL, "unbounded-ray")
-            return ResolveOutcome.STALL, "unbounded-ray"
+            return ResolveOutcome.UNBOUNDED_RAY
 
         if j == i:
             # the target comes first: land at the epsilon standoff past its plane,
@@ -319,7 +338,7 @@ def resolve_constraint(lp: LinearProgram, state: SolverState, config: SolverConf
         if direction is None:
             _emit(trace, state, EventKind.GUTTER_APPEND, "plane={}", j, stopped=True)
             _emit(trace, state, EventKind.STALL, "no-slope", stopped=True)
-            return ResolveOutcome.STALL, "no-slope"
+            return ResolveOutcome.NO_SLOPE
         state.dir = direction
         _emit(trace, state, EventKind.GUTTER_APPEND, "plane={}", j)
 
@@ -395,42 +414,18 @@ def _solve_feasibility_state(lp: LinearProgram, config: SolverConfig,
                              start, trace: TraceSink) -> tuple[SolveResult, SolverState]:
     """Phase I on an already normalized program."""
     diagnostics: list[str] = []
-    pinned = set(np.flatnonzero(lp.equalities).tolist())
-
-    if start is None:
-        try:
-            p0 = initial_point(lp, config.geom_tol, config.feas_tol)
-        except InconsistentEqualityError:
-            result = SolveResult(Verdict.INFEASIBLE, iterations=0, epsilon_final=config.epsilon,
-                                 diagnostics=("contradictory equality constraints",))
-            return result, SolverState(np.zeros(lp.dimension), config.epsilon,
-                                       GutterBasis(lp.dimension), pinned_eq=pinned)
-    else:
-        p0 = _as_vector(start, "start point").copy()
-        if p0.shape[0] != lp.dimension:
-            raise DimensionMismatchError(
-                f"start point has length {p0.shape[0]}, expected {lp.dimension}")
-        if pinned:
-            p0, ok = _project_onto_planes(lp, pinned, p0, config.geom_tol, config.feas_tol)
-            if not ok:
-                result = SolveResult(Verdict.INFEASIBLE, iterations=0,
-                                     epsilon_final=config.epsilon,
-                                     diagnostics=("contradictory equality constraints",))
-                return result, SolverState(p0, config.epsilon, GutterBasis(lp.dimension),
-                                           pinned_eq=pinned)
-
     # one basis serves the whole solve; every cycle re-pins it
-    state = SolverState(p0=p0, epsilon=config.epsilon, gutter=GutterBasis(lp.dimension),
-                        pinned_eq=pinned)
-    outer_cap = config.outer_cap(lp)
+    state = SolverState(p0=np.zeros(lp.dimension), epsilon=config.epsilon,
+                        gutter=GutterBasis(lp.dimension),
+                        pinned_eq=set(np.flatnonzero(lp.equalities).tolist()))
+    try:
+        state.p0 = initial_point(lp, config.geom_tol, config.feas_tol, start)
+    except InconsistentEqualityError:
+        diagnostics.append("contradictory equality constraints")
+        return _result(Verdict.INFEASIBLE, state, diagnostics), state
     d = None
 
-    while True:
-        state.outer_iter += 1
-        if state.outer_iter > outer_cap:
-            diagnostics.append("outer-iteration-cap")
-            return _result(Verdict.STALLED, state, diagnostics), state
-
+    for _ in range(config.outer_cap(lp)):
         # after a RESOLVED cycle the center has not moved since its last distances
         if d is None:
             d = lp.A @ state.p0 - lp.b
@@ -448,17 +443,16 @@ def _solve_feasibility_state(lp: LinearProgram, config: SolverConfig,
         target = int(np.argmin(np.where(violated, d, np.inf)))
         state.target_index = target
         _repin(state.gutter, lp, state.pinned_eq, config.geom_tol)
-        state.dir = None
         _emit(trace, state, EventKind.SELECT_TARGET, "target={} distance={:.9e}", target, d[target],
               stopped=True)
 
-        outcome, detail = resolve_constraint(lp, state, config, trace, d, satisfied)
+        outcome = resolve_constraint(lp, state, config, trace, d, satisfied)
         if outcome is ResolveOutcome.RESOLVED:
             d = state.distances
             continue
         d = None
         if state.gutter.size == 0:
-            diagnostics.append(detail)
+            diagnostics.append(outcome.value)
             return _result(Verdict.STALLED, state, diagnostics), state
         repair = repair_or_conclude(lp, state, config, trace)
         if repair is RepairOutcome.SHRUNK_BALL:
@@ -466,10 +460,13 @@ def _solve_feasibility_state(lp: LinearProgram, config: SolverConfig,
         if repair is RepairOutcome.EQUALITY_MODE:
             continue
         if repair is RepairOutcome.INFEASIBLE:
-            diagnostics.append(f"unresolvable constraint {target} ({detail})")
+            diagnostics.append(f"unresolvable constraint {target} ({outcome.value})")
             return _result(Verdict.INFEASIBLE, state, diagnostics), state
-        diagnostics.append(f"repair failed for constraint {target} ({detail})")
+        diagnostics.append(f"repair failed for constraint {target} ({outcome.value})")
         return _result(Verdict.STALLED, state, diagnostics), state
+
+    diagnostics.append("outer-iteration-cap")
+    return _result(Verdict.STALLED, state, diagnostics), state
 
 
 def _result(verdict: Verdict, state: SolverState, diagnostics: list[str],
@@ -523,36 +520,32 @@ def solve_optimum(lp: LinearProgram, config: Optional[SolverConfig] = None,
     c_hat = work_c / norm_c
 
     m = lp.num_constraints
-    big_m = float(c_hat @ state.p0 + max(1.0, float(np.linalg.norm(state.p0))) * config.big_M_growth)
+    big_m = float(c_hat @ state.p0 + max(1.0, float(np.linalg.norm(state.p0))) * BIG_M_GROWTH)
     # the artificial row c_hat . x >= M is stacked once; each cycle only rewrites its offset
     offsets = np.append(lp.b, big_m)
     lp_aug = LinearProgram._unchecked(np.vstack([lp.A, c_hat]), offsets, lp.senses + (Sense.GE,),
                                       lp.objective, np.append(lp.strict, False),
                                       np.append(lp.equalities, False))
     escalations = 0
-    cycles = 0
-    cycle_cap = config.outer_cap(lp)
     best_point: Optional[np.ndarray] = None
     best_height = -math.inf
     last_stall_height: Optional[float] = None
     last_detail = ""
 
-    while cycles < cycle_cap:
-        cycles += 1
+    for _ in range(config.outer_cap(lp)):
         offsets[m] = big_m
         state.target_index = m
         _repin(state.gutter, lp, state.pinned_eq, config.geom_tol)
-        state.dir = None
         _emit(trace, state, EventKind.SELECT_TARGET, "target={} artificial M={:.9e}", m, big_m,
               stopped=True)
-        outcome, detail = resolve_constraint(lp_aug, state, config, trace)
+        outcome = resolve_constraint(lp_aug, state, config, trace)
 
         if outcome is ResolveOutcome.RESOLVED:
-            if escalations >= config.max_M_escalations:
+            if escalations >= MAX_M_ESCALATIONS:
                 diagnostics.append("objective still improving after all M escalations")
                 return _result(Verdict.UNBOUNDED, state, diagnostics)
             escalations += 1
-            big_m *= config.big_M_growth
+            big_m *= BIG_M_GROWTH
             last_stall_height = None
             _emit(trace, state, EventKind.M_ESCALATION, "M={:.9e}", big_m, stopped=True)
             continue
@@ -560,7 +553,7 @@ def solve_optimum(lp: LinearProgram, config: Optional[SolverConfig] = None,
         # stalled or full gutter: take the gutter intersection as an optimum
         # candidate, then retry from here with a fresh gutter; a stall that
         # repeats without objective progress is the stopping condition
-        last_detail = detail
+        last_detail = outcome.value
         optimum = project_onto_intersection(state.gutter, state.p0, np.zeros(state.gutter.size))
         if check_point(lp, optimum, config.feas_tol):
             height = float(c_hat @ optimum)

@@ -109,8 +109,8 @@ def oracle_solve(lp: LinearProgram, bound: float = 100.0,
     if bound <= 0:
         raise ValueError("bound must be positive")
 
-    planes = np.vstack([lp.matrix(), np.eye(n), -np.eye(n)])
-    rhs = np.concatenate([lp.offsets(), np.full(n, -bound), np.full(n, -bound)])
+    planes = np.vstack([lp.A, np.eye(n), -np.eye(n)])
+    rhs = np.concatenate([lp.b, np.full(n, -bound), np.full(n, -bound)])
     senses = list(lp.senses) + [Sense.GE] * (2 * n)
 
     vertices = _enumerate_vertices(planes, rhs, senses, n)
@@ -215,8 +215,8 @@ def gen_infeasible(n: int, m: int, seed: int) -> GeneratedInstance:
     beta = float(rng.uniform(0.25, 1.0))
     beta_prime = float(rng.uniform(0.25, 1.0))
     idx = sorted(int(i) for i in rng.choice(m, size=2, replace=False))
-    normals = base.lp.matrix()
-    offsets = base.lp.offsets()
+    normals = base.lp.A.copy()
+    offsets = base.lp.b.copy()
     normals[idx[0]] = direction
     offsets[idx[0]] = beta
     normals[idx[1]] = -direction
@@ -242,8 +242,8 @@ def check_trace(lp: LinearProgram, events: Sequence[TraceEvent], epsilon: float,
     problems: list[str] = []
     m = lp.num_constraints
     n = lp.dimension
-    matrix = lp.matrix()
-    offsets = lp.offsets()
+    matrix = lp.A
+    offsets = lp.b
     senses = lp.senses
 
     current_eps = float(epsilon)

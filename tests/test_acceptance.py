@@ -82,8 +82,8 @@ def optimum_suite():
         m = int(rng.integers(3, 9))
         slack = float(rng.uniform(0.15, 0.3))
         inst = testkit.gen_feasible(n, m, slack, seed)
-        normals = np.vstack([inst.lp.matrix(), np.eye(n), -np.eye(n)])
-        offsets = np.concatenate([inst.lp.offsets(), np.full(2 * n, -3.0)])
+        normals = np.vstack([inst.lp.A, np.eye(n), -np.eye(n)])
+        offsets = np.concatenate([inst.lp.b, np.full(2 * n, -3.0)])
         c = rng.standard_normal(n)
         c /= np.linalg.norm(c)
         lp = LinearProgram.from_arrays(normals, offsets,
@@ -300,5 +300,5 @@ def test_criterion_10_determinism(tmp_path, capsys):
 
     gen_again = testkit.gen_feasible(4, 10, 0.12, 33)
     lp_file = cli.parse_lp(path.read_text())
-    assert np.allclose(lp_file.matrix(), gen_again.lp.matrix())
+    assert np.allclose(lp_file.A, gen_again.lp.A)
     _report("10 determinism (byte-identical records and traces)")

@@ -49,16 +49,16 @@ def run_instance(family: str, n: int, m: int, seed: int) -> dict:
     elif family == "equality":
         # row 0 becomes an equality through the certified interior point
         inst = testkit.gen_feasible(n, m, 0.1, seed)
-        offsets = inst.lp.offsets()
-        offsets[0] = float(inst.lp.matrix()[0] @ inst.certificate.point)
-        lp = LinearProgram.from_arrays(inst.lp.matrix(), offsets, [Sense.EQ] + [Sense.GE] * (m - 1))
+        offsets = inst.lp.b.copy()
+        offsets[0] = float(inst.lp.A[0] @ inst.certificate.point)
+        lp = LinearProgram.from_arrays(inst.lp.A, offsets, [Sense.EQ] + [Sense.GE] * (m - 1))
         result = solve_feasibility(lp, SolverConfig(), trace=events.append)
     else:
         base = testkit.gen_feasible(n, m, 0.1, seed).lp
         rng = np.random.default_rng((seed, n, 7))
         direction = Direction.MAX if rng.random() < 0.5 else Direction.MIN
         objective = Objective(direction, rng.standard_normal(n))
-        lp = LinearProgram.from_arrays(base.matrix(), base.offsets(), objective=objective)
+        lp = LinearProgram.from_arrays(base.A, base.b, objective=objective)
         result = solve_optimum(lp, SolverConfig(), trace=events.append)
     steps = [[e.kind.value, list(e.gutter_indices)] for e in events if e.kind is not EventKind.MOVE]
     return {

@@ -30,7 +30,7 @@ def first_step(lp, target, p0, pinned=()):
     state = SolverState(p0=np.asarray(p0, float), epsilon=0.0, gutter=GutterBasis(lp.dimension),
                         target_index=target, pinned_eq=set(pinned))
     events = []
-    resolve_constraint(lp, state, SolverConfig(epsilon=0.0, max_inner_iters=1), events.append)
+    resolve_constraint(lp, state, SolverConfig(epsilon=0.0, max_iters=1), events.append)
     kinds = [e.kind for e in events]
     assert EventKind.MOVE in kinds, kinds
     t = float(np.linalg.norm(state.p0 - np.asarray(p0, float)))

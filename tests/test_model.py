@@ -14,6 +14,7 @@ from gutterlp.model import (
     check_point,
     normalize,
 )
+from gutterlp.solver import BIG_M_GROWTH, MAX_M_ESCALATIONS
 
 
 def make_lp(rows, offsets, senses=None, objective=None):
@@ -180,10 +181,6 @@ class TestTypes:
         with pytest.raises(ValueError, match="finite"):
             Objective(Direction.MAX, np.array([1.0, value]))
 
-    def test_is_normalized(self):
-        assert make_lp([[1.0, 0.0]], [0.0]).is_normalized
-        assert not make_lp([[2.0, 0.0]], [0.0]).is_normalized
-
 
 class TestSolverConfig:
     def test_defaults(self):
@@ -191,8 +188,9 @@ class TestSolverConfig:
         assert cfg.epsilon == pytest.approx(1e-2)
         assert cfg.geom_tol == pytest.approx(1e-9)
         assert cfg.feas_tol == pytest.approx(1e-8)
-        assert cfg.big_M_growth == pytest.approx(8.0)
-        assert cfg.max_M_escalations == 6
+        assert cfg.max_iters is None
+        assert BIG_M_GROWTH == pytest.approx(8.0)
+        assert MAX_M_ESCALATIONS == 6
 
     def test_derived_caps(self):
         lp = make_lp([[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0])
@@ -212,5 +210,16 @@ class TestSolverConfig:
             SolverConfig(epsilon=-0.1)
 
     def test_growth_must_exceed_one(self):
-        with pytest.raises(ValueError):
-            SolverConfig(big_M_growth=1.0)
+        # the big-M schedule is fixed in the solver, not configurable
+        assert BIG_M_GROWTH > 1.0
+        with pytest.raises(TypeError):
+            SolverConfig(big_M_growth=2.0)
+
+    def test_max_iters_caps_both(self):
+        lp = make_lp([[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0])
+        cfg = SolverConfig(max_iters=3)
+        assert cfg.outer_cap(lp) == 3
+        assert cfg.inner_cap(lp) == 3
+        for bad in (0, -1):
+            with pytest.raises(ValueError, match="max_iters"):
+                SolverConfig(max_iters=bad)

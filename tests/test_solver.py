@@ -3,6 +3,7 @@ import pytest
 
 from gutterlp.gram import GutterBasis
 from gutterlp.model import (
+    DimensionMismatchError,
     Direction,
     LinearProgram,
     Objective,
@@ -22,7 +23,7 @@ from gutterlp.solver import (
     solve_feasibility,
     solve_optimum,
 )
-from gutterlp import testkit
+from gutterlp import cli, testkit
 
 
 def make_lp(rows, offsets, senses=None, objective=None):
@@ -51,13 +52,30 @@ class TestInitialPoint:
         with pytest.raises(InconsistentEqualityError):
             initial_point(lp)
 
+    def test_given_start_projected_onto_equalities(self):
+        lp = make_lp([[1.0, 1.0], [1.0, 0.0]], [2.0, 5.0], [Sense.EQ, Sense.GE])
+        start = [3.0, 1.0]
+        assert np.allclose(initial_point(lp, start=start), [2.0, 0.0])
+        assert start == [3.0, 1.0]
+
+    def test_given_start_kept_without_equalities(self):
+        lp = make_lp([[1.0, 0.0]], [2.0])
+        start = np.array([-1.0, 4.0])
+        point = initial_point(lp, start=start)
+        assert np.array_equal(point, start) and point is not start
+
+    def test_start_of_wrong_length_rejected(self):
+        lp = make_lp([[1.0, 0.0]], [2.0])
+        with pytest.raises(DimensionMismatchError, match="start point has length 3"):
+            initial_point(lp, start=[0.0, 0.0, 0.0])
+
 
 class TestResolveConstraint:
     def test_single_unobstructed_move(self):
         lp = make_lp([[0.0, 1.0], [1.0, 0.0]], [0.0, 2.0])
         state = SolverState(p0=np.array([0.0, 1.0]), epsilon=0.01,
                             gutter=GutterBasis(2), target_index=1)
-        outcome, _ = resolve_constraint(lp, state, CFG)
+        outcome = resolve_constraint(lp, state, CFG)
         assert outcome is ResolveOutcome.RESOLVED
         assert np.allclose(state.p0, [2.01, 1.0])
 
@@ -65,7 +83,7 @@ class TestResolveConstraint:
         lp = make_lp([[1.0], [-1.0]], [1.0, 0.0])
         state = SolverState(p0=np.array([1.01]), epsilon=0.01,
                             gutter=GutterBasis(1), target_index=1)
-        outcome, _ = resolve_constraint(lp, state, CFG)
+        outcome = resolve_constraint(lp, state, CFG)
         assert outcome is ResolveOutcome.GUTTER_FULL
         assert state.gutter.indices == (0,)
 
@@ -120,8 +138,11 @@ class TestSolveFeasibility:
 
     def test_contradictory_equalities_infeasible(self):
         lp = make_lp([[1.0], [1.0]], [1.0, 2.0], [Sense.EQ, Sense.EQ])
-        result = solve_feasibility(lp, CFG)
-        assert result.verdict is Verdict.INFEASIBLE
+        for start in (None, np.array([5.0])):
+            result = solve_feasibility(lp, CFG, start=start)
+            assert result.verdict is Verdict.INFEASIBLE
+            assert result.iterations == 0
+            assert result.diagnostics == ("contradictory equality constraints",)
 
     def test_supplied_start_projected_onto_equalities(self):
         lp = make_lp([[0.0, 1.0], [1.0, 0.0]], [1.0, -5.0], [Sense.EQ, Sense.GE])
@@ -150,7 +171,7 @@ class TestStrictTargets:
                                           (20, 200, 36), (20, 200, 40)])
     def test_strict_copy_of_feasible_program_is_solved(self, n, m, seed):
         base = testkit.gen_feasible(n, m, 0.1, seed).lp
-        lp = LinearProgram.from_arrays(base.matrix(), base.offsets(), [Sense.GT] * m)
+        lp = LinearProgram.from_arrays(base.A, base.b, [Sense.GT] * m)
         result = solve_feasibility(lp, SolverConfig())
         assert result.verdict is Verdict.FEASIBLE, result.diagnostics
         assert check_point(lp, result.point)
@@ -305,7 +326,7 @@ class TestFarObstacle:
         state = SolverState(p0=np.array([0.0, 0.5]), epsilon=0.01,
                             gutter=GutterBasis(2), target_index=1)
         events = []
-        outcome, _ = resolve_constraint(lp, state, CFG, events.append)
+        outcome = resolve_constraint(lp, state, CFG, events.append)
         assert outcome is ResolveOutcome.RESOLVED
         assert [(e.iteration, e.kind, e.detail) for e in events] == [
             (1, EventKind.MOVE, "advance t=9.858578644e-01"),
@@ -323,7 +344,7 @@ class TestFarObstacle:
         lp = make_lp([[-1.0, -1.0], [-1.0, 1.0], [1.0, 0.0]], [-1.0, -1.0, 2.0])
         state = SolverState(p0=np.zeros(2), epsilon=0.01, gutter=GutterBasis(2), target_index=2)
         events = []
-        outcome, _ = resolve_constraint(lp, state, CFG, events.append)
+        outcome = resolve_constraint(lp, state, CFG, events.append)
         assert outcome is ResolveOutcome.GUTTER_FULL
         assert [(e.kind, e.detail) for e in events if e.kind is not EventKind.MOVE] == [
             (EventKind.OBSTACLE_BACKOFF, "obstacle=0"),
@@ -333,20 +354,43 @@ class TestFarObstacle:
         ]
 
 
+def _lp_text(lp, objective=None):
+    """The rows in the LP file format, one `c ... >= b` line each, as LP text is written."""
+    lines = [f"vars {lp.dimension}"]
+    if objective is not None:
+        lines.append(f"objective {objective.direction.value} "
+                     + " ".join(repr(float(x)) for x in objective.coefficients))
+    lines += ["c " + " ".join(repr(float(x)) for x in a) + " >= " + repr(float(b))
+              for a, b in zip(lp.A, lp.b)]
+    return "\n".join(lines) + "\n"
+
+
 def _instance(family, n, m, seed):
+    text = family.startswith("text-")
+    family = family.removeprefix("text-")
+    solve, objective = solve_feasibility, None
     if family == "infeasible":
-        return testkit.gen_infeasible(n, m, seed).lp, solve_feasibility
-    lp = testkit.gen_feasible(n, m, 0.1, seed).lp
-    if family == "feasible":
-        return lp, solve_feasibility
-    c = np.random.default_rng((seed, n)).standard_normal(n)
-    lp = LinearProgram.from_arrays(lp.A, lp.b, objective=Objective(Direction.MAX, c))
-    return lp, solve_optimum
+        lp = testkit.gen_infeasible(n, m, seed).lp
+    else:
+        lp = testkit.gen_feasible(n, m, 0.1, seed).lp
+    if family == "optimize":
+        c = np.random.default_rng((seed, n)).standard_normal(n)
+        # LP text asks for both directions, as the benchmark's text workload does
+        objective = Objective(Direction.MIN if text and seed % 2 else Direction.MAX, c)
+        lp = LinearProgram.from_arrays(lp.A, lp.b, objective=objective)
+        solve = solve_optimum
+    if text:
+        lp = cli.parse_lp(_lp_text(lp, objective))
+    return lp, solve
 
 
 @pytest.mark.parametrize("family,n,m", [("feasible", 5, 20), ("infeasible", 5, 20),
-                                        ("feasible", 20, 200), ("optimize", 3, 8)])
+                                        ("feasible", 20, 200), ("optimize", 3, 8),
+                                        ("text-feasible", 2, 6), ("text-infeasible", 3, 8),
+                                        ("text-optimize", 4, 12)])
 def test_tracing_changes_no_result(family, n, m):
+    # one program object is solved untraced and then traced, so a result that
+    # depended on tracing or on state left by the first solve would show here
     for seed in range(10):
         lp, solve = _instance(family, n, m, seed)
         assert _result_record(solve(lp)) == _result_record(solve(lp, trace=lambda event: None))

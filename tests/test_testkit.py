@@ -114,13 +114,13 @@ class TestGenerators:
 
     def test_forced_origin_interior(self):
         inst = testkit.gen_feasible(3, 5, 1.0, 11, interior=np.zeros(3))
-        assert np.all(inst.lp.offsets() <= -1.0)
+        assert np.all(inst.lp.b <= -1.0)
 
     def test_same_seed_identical(self):
         a = testkit.gen_feasible(4, 9, 0.2, 123)
         b = testkit.gen_feasible(4, 9, 0.2, 123)
-        assert np.array_equal(a.lp.matrix(), b.lp.matrix())
-        assert np.array_equal(a.lp.offsets(), b.lp.offsets())
+        assert np.array_equal(a.lp.A, b.lp.A)
+        assert np.array_equal(a.lp.b, b.lp.b)
         assert np.array_equal(a.certificate.point, b.certificate.point)
 
     def test_infeasible_pair_structure(self):
@@ -139,8 +139,8 @@ class TestGenerators:
     def test_infeasible_same_seed_identical(self):
         a = testkit.gen_infeasible(3, 6, 9)
         b = testkit.gen_infeasible(3, 6, 9)
-        assert np.array_equal(a.lp.matrix(), b.lp.matrix())
-        assert np.array_equal(a.lp.offsets(), b.lp.offsets())
+        assert np.array_equal(a.lp.A, b.lp.A)
+        assert np.array_equal(a.lp.b, b.lp.b)
 
     def test_oracle_agrees_with_certificates(self):
         for seed in range(15):
