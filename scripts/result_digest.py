@@ -1,0 +1,127 @@
+"""One sha256 per instance pool over every solver result, for bit-identity checks.
+
+    python3 scripts/result_digest.py --seeds 1 2 3
+
+The pools are the benchmark's workloads (`perfbench/workloads.py`, drawn at
+each seed) plus a sense grid the benchmark pools lack: strict (GT) copies of
+`testkit.gen_feasible` at (5,20) and (10,50), solved for feasibility and, at
+(5,20), optimized too, and the one-equality-row family of
+`tests/test_equivalence.py` at (3,8) and (5,20).
+
+Each instance is solved untraced and then traced, on the same input object
+(LP text is parsed once, as `cli.parse_lp` reads it). The digest covers the
+verdict, iteration count, point bytes, objective, final epsilon and
+diagnostics of both solves, and every trace event (iteration, kind, center,
+direction, gutter and detail, MOVE included). Two source trees give the same
+line for a pool only when they compute the same results bit for bit.
+
+Exits 1, after printing a MISMATCH line, when a traced solve returns a
+different result from the untraced solve before it. BLAS pools are pinned to
+one thread, as the benchmark pins them, before numpy is imported.
+"""
+import argparse
+import hashlib
+import os
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+               "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
+SENSE_INSTANCES = 20   # instances per sense-grid cell and seed
+
+
+def _result_record(result) -> str:
+    point = None if result.point is None else result.point.tobytes().hex()
+    return repr((result.verdict.name, result.iterations, point, result.objective_value,
+                 result.epsilon_final, result.diagnostics))
+
+
+def _event_record(event) -> str:
+    return repr((event.iteration, event.kind.name, event.p0, event.dir,
+                 event.gutter_indices, event.detail))
+
+
+def _sense_grid(seed: int):
+    """(label, program, solve) for the strict and equality cells at one seed."""
+    import numpy as np
+    from gutterlp import Direction, LinearProgram, Objective, Sense, testkit
+    from gutterlp import solve_feasibility, solve_optimum
+
+    for k in range(SENSE_INSTANCES):
+        s = seed * SENSE_INSTANCES + k
+        for n, m in ((5, 20), (10, 50)):
+            lp = testkit.gen_feasible(n, m, 0.1, s).lp
+            yield "gt", LinearProgram.from_arrays(lp.A, lp.b, [Sense.GT] * m), solve_feasibility
+        rng = np.random.default_rng((s, 5, 7))
+        objective = Objective(Direction.MAX if rng.random() < 0.5 else Direction.MIN,
+                              rng.standard_normal(5))
+        lp = testkit.gen_feasible(5, 20, 0.1, s).lp
+        yield "gt-optimize", LinearProgram.from_arrays(lp.A, lp.b, [Sense.GT] * 20,
+                                                       objective), solve_optimum
+        for n, m in ((3, 8), (5, 20)):
+            # row 0 becomes an equality through the certified interior point
+            inst = testkit.gen_feasible(n, m, 0.1, s)
+            offsets = inst.lp.b.copy()
+            offsets[0] = float(inst.lp.A[0] @ inst.certificate.point)
+            yield "eq", LinearProgram.from_arrays(inst.lp.A, offsets,
+                                                  [Sense.EQ] + [Sense.GE] * (m - 1)), \
+                solve_feasibility
+
+
+def _workload_pool(name: str, seed: int):
+    """(label, program, solve) for one benchmark workload pool."""
+    import workloads
+    from gutterlp import cli, solve_feasibility, solve_optimum
+
+    workload = workloads.WORKLOADS[name]
+    pool = workloads.draw(workload, seed)
+    for inst, x in zip(pool, workloads.build_inputs(workload, pool)):
+        lp = cli.parse_lp(x) if workload.text else x
+        yield inst.kind.label, lp, solve_optimum if inst.kind.task == "optimize" else \
+            solve_feasibility
+
+
+def digest(instances) -> tuple[str, int, list[str]]:
+    """(sha256, instance count, labels of traced solves that differed) over a pool."""
+    h = hashlib.sha256()
+    count = 0
+    mismatched = []
+    for label, lp, solve in instances:
+        untraced = _result_record(solve(lp))
+        events = []
+        traced = _result_record(solve(lp, trace=events.append))
+        if traced != untraced:
+            mismatched.append(f"{label} #{count}")
+        h.update(untraced.encode())
+        h.update(traced.encode())
+        for event in events:
+            h.update(_event_record(event).encode())
+        count += 1
+    return h.hexdigest(), count, mismatched
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seeds", type=int, nargs="+", required=True)
+    args = parser.parse_args(argv)
+    for var in THREAD_VARS:
+        os.environ[var] = "1"
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    import workloads
+
+    failed = False
+    for seed in args.seeds:
+        pools = [(name, _workload_pool(name, seed)) for name in workloads.WORKLOADS]
+        pools.append(("senses", _sense_grid(seed)))
+        for name, instances in pools:
+            sha, count, mismatched = digest(instances)
+            print(f"{name:<14} seed {seed:<6} {count:>5} instances  {sha}", flush=True)
+            for label in mismatched:
+                print(f"MISMATCH {name} seed {seed}: traced result differs at {label}")
+                failed = True
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -223,6 +223,9 @@ def run_solve(args) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOINPUT
+    except UnicodeDecodeError as exc:
+        print(f"error: {args.file}: not UTF-8 text ({exc})", file=sys.stderr)
+        return EXIT_DATA
     try:
         lp = parse_lp(text)
     except (LpFormatError, ZeroNormalError, ValueError) as exc:
@@ -348,6 +351,9 @@ def run_oracle(args) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOINPUT
+    except UnicodeDecodeError as exc:
+        print(f"error: {args.file}: not UTF-8 text ({exc})", file=sys.stderr)
+        return EXIT_DATA
     try:
         lp = parse_lp(text)
         verdict = testkit.oracle_solve(lp, bound=args.bound)

@@ -26,5 +26,5 @@ def project_onto_intersection(basis: GutterBasis, p, targets) -> np.ndarray:
         )
     if basis.size == 0:
         return p.copy()
-    d = basis.normals_matrix() @ p - basis.offsets_vector()
+    d = basis.normals_matrix().dot(p) - basis.offsets_vector()
     return p - basis.correction(d - targets)

@@ -83,7 +83,7 @@ class GutterBasis:
             raise DimensionMismatchError(
                 f"normal has length {a.shape[0]}, expected {self.dimension}"
             )
-        norm2 = float(a @ a)
+        norm2 = float(a.dot(a))
         if abs(math.sqrt(norm2) - 1.0) > 1e-9:
             raise ValueError("basis rows must be unit vectors")
         t = len(self._indices)
@@ -96,10 +96,10 @@ class GutterBasis:
                 return False
             inv[0, 0] = 1.0 / norm2
         else:
-            w = self._normals[:t] @ a
+            w = self._normals[:t].dot(a)
             block = inv[:t, :t]
-            r = block @ w
-            pivot = norm2 - float(w @ r)
+            r = block.dot(w)
+            pivot = norm2 - float(w.dot(r))
             if pivot <= geom_tol:
                 return False
             block += r[:, None] * r / pivot
@@ -123,7 +123,7 @@ class GutterBasis:
             )
         if t == 0:
             return np.zeros(self.dimension)
-        return self._normals[:t].T @ (self._inverse[:t, :t] @ r)
+        return self._normals[:t].T.dot(self._inverse[:t, :t].dot(r))
 
     def reset(self) -> None:
         """Empty the basis; the buffers are kept for the next rows."""

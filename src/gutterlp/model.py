@@ -1,6 +1,7 @@
 """LP instance data model: the row arrays, normalization, residual checks, solver config."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
@@ -58,13 +59,16 @@ class Objective:
 
     def __post_init__(self):
         coeffs = _as_vector(self.coefficients, "objective coefficients").copy()
-        if not np.all(np.isfinite(coeffs)):
+        if not np.logical_and.reduce(np.isfinite(coeffs)):
             raise ValueError("objective coefficients must be finite")
         coeffs.setflags(write=False)
         object.__setattr__(self, "coefficients", coeffs)
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
+    """A read-only view of arr; an array that is already read-only comes back as it is."""
+    if not arr.flags.writeable:
+        return arr
     view = arr.view()
     view.setflags(write=False)
     return view
@@ -103,22 +107,27 @@ class LinearProgram:
         senses = (Sense.GE,) * m if self.senses is None else tuple(self.senses)
         if len(senses) != m:
             raise DimensionMismatchError(f"senses have length {len(senses)}, expected {m}")
-        bad = ~(np.all(np.isfinite(A), axis=1) & np.isfinite(b))
-        if bad.any():
-            raise ValueError(f"constraint {int(np.argmax(bad))}: coefficient or bound is not finite")
-        zero = ~np.any(A, axis=1)
-        if zero.any():
-            raise ZeroNormalError(int(np.argmax(zero)))
+        bad = ~(np.logical_and.reduce(np.isfinite(A), axis=1) & np.isfinite(b))
+        if np.logical_or.reduce(bad):
+            raise ValueError(f"constraint {int(bad.argmax())}: coefficient or bound is not finite")
+        zero = ~np.logical_or.reduce(A, axis=1)
+        if np.logical_or.reduce(zero):
+            raise ZeroNormalError(int(zero.argmax()))
         if self.objective is not None and self.objective.coefficients.shape[0] != n:
             raise DimensionMismatchError(
                 f"objective has length {self.objective.coefficients.shape[0]}, expected {n}")
-        # Sense members compare by identity, so `is` tests match `==` exactly
-        codes = np.array([0 if s is Sense.GE else 1 if s is Sense.GT else 2 if s is Sense.EQ
-                          else -1 for s in senses], dtype=np.int8)
-        unknown = codes < 0
-        if unknown.any():
-            raise ValueError(f"constraint {int(np.argmax(unknown))}: unknown sense")
-        self._store(A, b, senses, self.objective, codes == 1, codes == 2)
+        if self.senses is None:
+            # every row is GE, so neither mask needs the per-row sense codes
+            strict, equalities = np.zeros(m, dtype=bool), np.zeros(m, dtype=bool)
+        else:
+            # Sense members compare by identity, so `is` tests match `==` exactly
+            codes = np.array([0 if s is Sense.GE else 1 if s is Sense.GT else 2 if s is Sense.EQ
+                              else -1 for s in senses], dtype=np.int8)
+            unknown = codes < 0
+            if np.logical_or.reduce(unknown):
+                raise ValueError(f"constraint {int(unknown.argmax())}: unknown sense")
+            strict, equalities = codes == 1, codes == 2
+        self._store(A, b, senses, self.objective, strict, equalities)
 
     def _store(self, A, b, senses, objective, strict, equalities) -> None:
         for name, value in (("A", _readonly(A)), ("b", _readonly(b)), ("senses", senses),
@@ -164,7 +173,7 @@ class LinearProgram:
         is [-tol, tol] (|d| <= tol), and GT is [nextafter(tol, inf), inf],
         which holds for exactly the doubles d > tol.
         """
-        lo = np.where(self.strict, np.nextafter(feas_tol, np.inf), -feas_tol)
+        lo = np.where(self.strict, math.nextafter(feas_tol, math.inf), -feas_tol)
         hi = np.where(self.equalities, feas_tol, np.inf)
         return (lo <= d) & (d <= hi)
 
@@ -184,10 +193,11 @@ def normalize(lp: LinearProgram, geom_tol: float = 1e-9) -> LinearProgram:
     The satisfaction set of each row is unchanged (both sides are divided by
     a positive number). Idempotent up to rounding.
     """
-    norms = np.linalg.norm(lp.A, axis=1)
+    # the expression np.linalg.norm(A, axis=1) evaluates, without its wrapper
+    norms = np.sqrt(np.add.reduce(lp.A * lp.A, axis=1))
     short = norms <= geom_tol
-    if short.any():
-        raise ZeroNormalError(int(np.argmax(short)))
+    if np.logical_or.reduce(short):
+        raise ZeroNormalError(int(short.argmax()))
     return LinearProgram._unchecked(lp.A / norms[:, None], lp.b / norms, lp.senses, lp.objective,
                                     lp.strict, lp.equalities)
 
@@ -197,7 +207,7 @@ def check_point(lp: LinearProgram, p, feas_tol: float = 1e-8) -> bool:
     p = _as_vector(p, "point")
     if p.shape[0] != lp.dimension:
         raise DimensionMismatchError(f"point has length {p.shape[0]}, expected {lp.dimension}")
-    return bool(np.all(lp.satisfied(lp.A @ p - lp.b, feas_tol)))
+    return bool(np.logical_and.reduce(lp.satisfied(lp.A.dot(p) - lp.b, feas_tol)))
 
 
 @dataclass

@@ -8,6 +8,12 @@ whole gutter, in the direction that approaches the target fastest. When no
 such direction remains, the ball is either shrunk to fit a narrow region,
 switched to equality mode for non-full-dimensional regions, or the target is
 declared unresolvable.
+
+Most arrays on the solve path hold 4 to 500 entries, so numpy's per-call
+dispatch costs more than the arithmetic: products go through `ndarray.dot`,
+reductions through the ufunc's `reduce`, and per-step scalars are Python
+floats. Each makes the same BLAS call or IEEE operation as `@`, `.max()`,
+`np.all` or a numpy scalar would, so every result keeps its bits.
 """
 from __future__ import annotations
 
@@ -156,7 +162,7 @@ def _project_onto_planes(lp: LinearProgram, indices, p, geom_tol: float,
     rows = sorted(indices)
     basis = _repin(GutterBasis(lp.dimension), lp, rows, geom_tol)
     q = project_onto_intersection(basis, p, np.zeros(basis.size))
-    return q, bool(np.all(np.abs(lp.A[rows] @ q - lp.b[rows]) <= 10 * feas_tol))
+    return q, bool(np.logical_and.reduce(np.abs(lp.A[rows].dot(q) - lp.b[rows]) <= 10 * feas_tol))
 
 
 def _repin(basis: GutterBasis, lp: LinearProgram, pinned, geom_tol: float) -> GutterBasis:
@@ -183,11 +189,11 @@ def _slide_direction(lp: LinearProgram, basis: GutterBasis, p0: np.ndarray,
     rows = basis.size
     if rows:
         G = basis.normals_matrix()
-        proj = a - basis.correction(G @ a)
+        proj = a - basis.correction(G.dot(a))
     else:
         proj = a
-    norm = math.sqrt(proj @ proj)
-    d = float(a @ p0 - lp.b[target])
+    norm = math.sqrt(proj.dot(proj))
+    d = float(a.dot(p0) - lp.b[target])
     travel = -d if d < -feas_tol else max(epsilon - d, 0.0)
     slope = travel * norm
     if norm <= geom_tol or slope <= geom_tol:
@@ -196,11 +202,11 @@ def _slide_direction(lp: LinearProgram, basis: GutterBasis, p0: np.ndarray,
     if rows:
         # one re-orthogonalization pass keeps dir-gutter dot products at rounding level
         for _ in range(3):
-            drift = G @ direction
-            if np.abs(drift).max() <= 1e-12:
+            drift = G.dot(direction)
+            if np.maximum.reduce(np.abs(drift)) <= 1e-12:
                 break
             direction = direction - basis.correction(drift)
-            norm = math.sqrt(direction @ direction)
+            norm = math.sqrt(direction.dot(direction))
             if norm <= geom_tol:
                 return None, slope
             direction = direction / norm
@@ -242,10 +248,12 @@ def resolve_constraint(lp: LinearProgram, state: SolverState, config: SolverConf
     feas_tol = config.feas_tol
 
     if d is None:
-        d = A @ state.p0 - b
+        d = A.dot(state.p0) - b
     d_at = state.p0
     open_rows = lp.satisfied(d, feas_tol) if satisfied is None else satisfied
-    open_rows[[i, *state.pinned_eq, *state.gutter.indices]] = False
+    open_rows[i] = False
+    if state.pinned_eq or state.gutter.size:
+        open_rows[[*state.pinned_eq, *state.gutter.indices]] = False
     direction, _ = _slide_direction(lp, state.gutter, state.p0, i, geom_tol, feas_tol, eps)
     if direction is None:
         _emit(trace, state, EventKind.STALL, "no-slope at cycle start", stopped=True)
@@ -257,10 +265,10 @@ def resolve_constraint(lp: LinearProgram, state: SolverState, config: SolverConf
 
     while True:
         if state.p0 is not d_at:
-            d = A @ state.p0
+            d = A.dot(state.p0)
             d -= b
             d_at = state.p0
-        d_i = d[i]
+        d_i = float(d[i])
         if lp.row_satisfied(i, d_i, feas_tol):
             state.distances = d
             _emit(trace, state, EventKind.RESOLVED, "target={}", i)
@@ -277,9 +285,9 @@ def resolve_constraint(lp: LinearProgram, state: SolverState, config: SolverConf
 
         if state.dir is not scanned_dir:
             scanned_dir = state.dir
-            slope = A @ scanned_dir
+            slope = A.dot(scanned_dir)
             live = np.where(open_rows & (np.abs(slope) > geom_tol), -slope, -np.inf)
-            slope_i = slope[i]
+            slope_i = float(slope[i])
             target_steep = abs(slope_i) > geom_tol
         # a violated target is hit at its plane; a strict target already on
         # its plane is hit at the epsilon standoff
@@ -294,8 +302,8 @@ def resolve_constraint(lp: LinearProgram, state: SolverState, config: SolverConf
         np.putmask(t, t <= geom_tol, np.inf)
         t[i] = t_i
         j = int(t.argmin())
-        t_first = t[j]
-        if t_first == np.inf:
+        t_first = float(t[j])
+        if t_first == math.inf:
             _emit(trace, state, EventKind.STALL, "unbounded-ray")
             return ResolveOutcome.UNBOUNDED_RAY
 
@@ -306,11 +314,11 @@ def resolve_constraint(lp: LinearProgram, state: SolverState, config: SolverConf
             if d_i < -feas_tol and eps > 0:
                 t_end += eps / slope_i
             t[i] = np.inf
-            t_end = min(t_end, t[slope < 0].min(initial=np.inf))
+            t_end = min(t_end, np.minimum.reduce(t[slope < 0], initial=np.inf))
             _advance(state, t_end, trace)
             continue
 
-        slope_j = abs(slope[j])
+        slope_j = abs(float(slope[j]))
         if d[j] > eps + feas_tol:
             # far obstacle: retreat along the ray to an epsilon standoff, keep direction
             _advance(state, t_first - eps / slope_j, trace)
@@ -350,7 +358,7 @@ def _advance(state: SolverState, t: float, trace: TraceSink) -> None:
     its signed distances are still current.
     """
     moved = state.p0 + t * state.dir
-    if np.count_nonzero(moved != state.p0):
+    if np.logical_or.reduce(moved != state.p0):
         state.p0 = moved
         if trace is not None:
             _emit(trace, state, EventKind.MOVE, "advance t={:.9e}", t)
@@ -372,7 +380,7 @@ def repair_or_conclude(lp: LinearProgram, state: SolverState, config: SolverConf
     basis = state.gutter
 
     origin_at = project_onto_intersection(basis, state.p0, np.zeros(basis.size))
-    d_origin = A @ origin_at - b
+    d_origin = A.dot(origin_at) - b
     d_target_o = float(d_origin[i])
 
     if abs(d_target_o) <= feas_tol:
@@ -389,8 +397,8 @@ def repair_or_conclude(lp: LinearProgram, state: SolverState, config: SolverConf
     others_ok = lp.satisfied(d_origin, feas_tol)
     others_ok[i] = True
 
-    if others_ok.all() and d_target_o > feas_tol:
-        d_target_p = float(A[i] @ state.p0 - b[i])
+    if np.logical_and.reduce(others_ok) and d_target_o > feas_tol:
+        d_target_p = float(A[i].dot(state.p0) - b[i])
         if d_target_p >= -feas_tol:
             return RepairOutcome.FAILED
         appended = [k for k in basis.indices if k not in state.pinned_eq]
@@ -399,7 +407,7 @@ def repair_or_conclude(lp: LinearProgram, state: SolverState, config: SolverConf
         s = d_target_o / (d_target_o - d_target_p)
         crossing = origin_at + s * (state.p0 - origin_at)
         center = 0.5 * (origin_at + crossing)
-        new_eps = float(np.min(A[appended] @ center - b[appended]))
+        new_eps = float(np.minimum.reduce(A[appended].dot(center) - b[appended]))
         if new_eps <= config.geom_tol:
             return RepairOutcome.FAILED
         state.epsilon = new_eps
@@ -428,19 +436,19 @@ def _solve_feasibility_state(lp: LinearProgram, config: SolverConfig,
     for _ in range(config.outer_cap(lp)):
         # after a RESOLVED cycle the center has not moved since its last distances
         if d is None:
-            d = lp.A @ state.p0 - lp.b
+            d = lp.A.dot(state.p0) - lp.b
         satisfied = lp.satisfied(d, config.feas_tol)
-        if satisfied.all():
+        if np.logical_and.reduce(satisfied):
             return _result(Verdict.FEASIBLE, state, diagnostics, point=state.p0), state
 
         violated = ~satisfied
         if state.pinned_eq:
             violated[list(state.pinned_eq)] = False
-        if not violated.any():
+        if not np.logical_or.reduce(violated):
             diagnostics.append("all violated constraints are pinned equalities")
             return _result(Verdict.STALLED, state, diagnostics), state
         # the most violated row; argmin breaks ties by the lowest index
-        target = int(np.argmin(np.where(violated, d, np.inf)))
+        target = int(np.where(violated, d, np.inf).argmin())
         state.target_index = target
         _repin(state.gutter, lp, state.pinned_eq, config.geom_tol)
         _emit(trace, state, EventKind.SELECT_TARGET, "target={} distance={:.9e}", target, d[target],
@@ -511,21 +519,21 @@ def solve_optimum(lp: LinearProgram, config: Optional[SolverConfig] = None,
 
     c = lp.objective.coefficients
     work_c = c if lp.objective.direction is Direction.MAX else -c
-    norm_c = float(np.linalg.norm(work_c))
+    norm_c = math.sqrt(work_c.dot(work_c))
     diagnostics = list(phase1.diagnostics)
     if norm_c <= config.geom_tol:
         diagnostics.append("objective is numerically zero; any feasible point is optimal")
         return _result(Verdict.OPTIMAL, state, diagnostics, point=state.p0,
-                       objective_value=float(c @ state.p0))
+                       objective_value=float(c.dot(state.p0)))
     c_hat = work_c / norm_c
 
     m = lp.num_constraints
-    big_m = float(c_hat @ state.p0 + max(1.0, float(np.linalg.norm(state.p0))) * BIG_M_GROWTH)
+    big_m = float(c_hat.dot(state.p0) + max(1.0, math.sqrt(state.p0.dot(state.p0))) * BIG_M_GROWTH)
     # the artificial row c_hat . x >= M is stacked once; each cycle only rewrites its offset
-    offsets = np.append(lp.b, big_m)
+    offsets = np.concatenate((lp.b, [big_m]))
     lp_aug = LinearProgram._unchecked(np.vstack([lp.A, c_hat]), offsets, lp.senses + (Sense.GE,),
-                                      lp.objective, np.append(lp.strict, False),
-                                      np.append(lp.equalities, False))
+                                      lp.objective, np.concatenate((lp.strict, [False])),
+                                      np.concatenate((lp.equalities, [False])))
     escalations = 0
     best_point: Optional[np.ndarray] = None
     best_height = -math.inf
@@ -556,11 +564,11 @@ def solve_optimum(lp: LinearProgram, config: Optional[SolverConfig] = None,
         last_detail = outcome.value
         optimum = project_onto_intersection(state.gutter, state.p0, np.zeros(state.gutter.size))
         if check_point(lp, optimum, config.feas_tol):
-            height = float(c_hat @ optimum)
+            height = float(c_hat.dot(optimum))
             if height > best_height:
                 best_height = height
                 best_point = optimum
-        stall_height = float(c_hat @ state.p0)
+        stall_height = float(c_hat.dot(state.p0))
         if last_stall_height is not None and \
                 stall_height <= last_stall_height + 1e-9 * (1.0 + abs(stall_height)):
             break
@@ -569,6 +577,6 @@ def solve_optimum(lp: LinearProgram, config: Optional[SolverConfig] = None,
     if best_point is not None:
         diagnostics.append(f"optimum at {last_detail}")
         return _result(Verdict.OPTIMAL, state, diagnostics, point=best_point,
-                       objective_value=float(c @ best_point))
+                       objective_value=float(c.dot(best_point)))
     diagnostics.append(f"optimum extraction failed feasibility check ({last_detail})")
     return _result(Verdict.STALLED, state, diagnostics)

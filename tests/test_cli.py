@@ -117,6 +117,15 @@ class TestSolveCommand:
         capsys.readouterr()
         assert code == 66
 
+    @pytest.mark.parametrize("command", ["solve", "oracle"])
+    def test_non_utf8_file_is_bad_data(self, command, tmp_path, capsys):
+        path = tmp_path / "latin1.lp"
+        path.write_bytes(b"vars 1\nc 1 >= 0 # \xff\n")
+        code = cli.main([command, str(path)])
+        err = capsys.readouterr().err
+        assert code == 65
+        assert err.startswith("error: ") and "UTF-8" in err and len(err.splitlines()) == 1
+
     def test_trace_jsonl(self, tmp_path, capsys):
         path = tmp_path / "two.lp"
         trace_path = tmp_path / "trace.jsonl"

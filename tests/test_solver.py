@@ -371,8 +371,16 @@ def _instance(family, n, m, seed):
     solve, objective = solve_feasibility, None
     if family == "infeasible":
         lp = testkit.gen_infeasible(n, m, seed).lp
+    elif family == "equality":
+        # row 0 becomes an equality through the certified interior point
+        inst = testkit.gen_feasible(n, m, 0.1, seed)
+        offsets = inst.lp.b.copy()
+        offsets[0] = float(inst.lp.A[0] @ inst.certificate.point)
+        lp = LinearProgram.from_arrays(inst.lp.A, offsets, [Sense.EQ] + [Sense.GE] * (m - 1))
     else:
         lp = testkit.gen_feasible(n, m, 0.1, seed).lp
+    if family == "strict":
+        lp = LinearProgram.from_arrays(lp.A, lp.b, [Sense.GT] * m)
     if family == "optimize":
         c = np.random.default_rng((seed, n)).standard_normal(n)
         # LP text asks for both directions, as the benchmark's text workload does
@@ -387,7 +395,9 @@ def _instance(family, n, m, seed):
 @pytest.mark.parametrize("family,n,m", [("feasible", 5, 20), ("infeasible", 5, 20),
                                         ("feasible", 20, 200), ("optimize", 3, 8),
                                         ("text-feasible", 2, 6), ("text-infeasible", 3, 8),
-                                        ("text-optimize", 4, 12)])
+                                        ("text-optimize", 4, 12), ("strict", 5, 20),
+                                        ("strict", 10, 50), ("equality", 3, 8),
+                                        ("equality", 5, 20)])
 def test_tracing_changes_no_result(family, n, m):
     # one program object is solved untraced and then traced, so a result that
     # depended on tracing or on state left by the first solve would show here
