@@ -15,9 +15,15 @@ diagnostics of both solves, and every trace event (iteration, kind, center,
 direction, gutter and detail, MOVE included). Two source trees give the same
 line for a pool only when they compute the same results bit for bit.
 
+The `tiny-text/arrays` pool solves the tiny-text instances again, built from
+their arrays with `workloads.build_lp` instead of parsed from LP text; a parsed
+program is normalized once, like an array-built one, so both lines must be
+equal.
+
 Exits 1, after printing a MISMATCH line, when a traced solve returns a
-different result from the untraced solve before it. BLAS pools are pinned to
-one thread, as the benchmark pins them, before numpy is imported.
+different result from the untraced solve before it, or when the tiny-text and
+tiny-text/arrays digests differ. BLAS pools are pinned to one thread, as the
+benchmark pins them, before numpy is imported.
 """
 import argparse
 import hashlib
@@ -69,15 +75,19 @@ def _sense_grid(seed: int):
                 solve_feasibility
 
 
-def _workload_pool(name: str, seed: int):
-    """(label, program, solve) for one benchmark workload pool."""
+def _workload_pool(name: str, seed: int, arrays: bool = False):
+    """(label, program, solve) for one benchmark workload pool; `arrays` skips LP text."""
     import workloads
     from gutterlp import cli, solve_feasibility, solve_optimum
 
     workload = workloads.WORKLOADS[name]
     pool = workloads.draw(workload, seed)
-    for inst, x in zip(pool, workloads.build_inputs(workload, pool)):
-        lp = cli.parse_lp(x) if workload.text else x
+    if arrays:
+        inputs = [workloads.build_lp(inst) for inst in pool]
+    else:
+        inputs = workloads.build_inputs(workload, pool)
+    for inst, x in zip(pool, inputs):
+        lp = cli.parse_lp(x) if isinstance(x, str) else x
         yield inst.kind.label, lp, solve_optimum if inst.kind.task == "optimize" else \
             solve_feasibility
 
@@ -113,13 +123,19 @@ def main(argv=None) -> int:
     failed = False
     for seed in args.seeds:
         pools = [(name, _workload_pool(name, seed)) for name in workloads.WORKLOADS]
+        pools.append(("tiny-text/arrays", _workload_pool("tiny-text", seed, arrays=True)))
         pools.append(("senses", _sense_grid(seed)))
+        shas = {}
         for name, instances in pools:
             sha, count, mismatched = digest(instances)
-            print(f"{name:<14} seed {seed:<6} {count:>5} instances  {sha}", flush=True)
+            shas[name] = sha
+            print(f"{name:<16} seed {seed:<6} {count:>5} instances  {sha}", flush=True)
             for label in mismatched:
                 print(f"MISMATCH {name} seed {seed}: traced result differs at {label}")
                 failed = True
+        if shas["tiny-text"] != shas["tiny-text/arrays"]:
+            print(f"MISMATCH tiny-text seed {seed}: LP text and arrays give different results")
+            failed = True
     return 1 if failed else 0
 
 

@@ -78,11 +78,12 @@ def parse_lp_document(text: str) -> LpFileDocument:
     objective: Optional[tuple[str, tuple[float, ...]]] = None
     rows: list[tuple[tuple[float, ...], str, float]] = []
 
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        if "#" in line:
+            line = line[:line.index("#")]
         tokens = line.split()
+        if not tokens:
+            continue
         keyword = tokens[0].lower()
 
         if keyword == "vars":
@@ -151,25 +152,36 @@ def serialize_lp(doc: LpFileDocument) -> str:
 
 
 def document_to_lp(doc: LpFileDocument, geom_tol: float = 1e-9) -> LinearProgram:
+    """The document's program, LE/LT rows negated into GE/GT and every row normalized."""
     rows = doc.rows
-    normals = np.array([coeffs for coeffs, _, _ in rows], dtype=float)
+    # one flat list converts faster than a list of row tuples
+    normals = np.array([x for coeffs, _, _ in rows for x in coeffs], dtype=float)
+    normals = normals.reshape(len(rows), doc.dimension)
     offsets = np.array([rhs for _, _, rhs in rows], dtype=float)
-    flipped = [k for k, (_, op, _) in enumerate(rows) if op in _FLIP_OPS]
-    if flipped:
-        # negation is exact, so flipping in place gives the bits of negating each row
-        normals[flipped] *= -1.0
-        offsets[flipped] *= -1.0
-    senses = [_SENSE_BY_OP[_FLIP_OPS.get(op, op)] for _, op, _ in rows]
+    ops = [op for _, op, _ in rows]
+    senses = None
+    if ops.count(">=") != len(ops):
+        flipped = [k for k, op in enumerate(ops) if op in _FLIP_OPS]
+        if flipped:
+            # negation is exact, so flipping in place gives the bits of negating each row
+            normals[flipped] *= -1.0
+            offsets[flipped] *= -1.0
+        senses = [_SENSE_BY_OP[_FLIP_OPS.get(op, op)] for op in ops]
     objective = None
     if doc.objective is not None:
         direction = Direction.MIN if doc.objective[0] == "min" else Direction.MAX
-        objective = Objective(direction, np.asarray(doc.objective[1], dtype=float))
+        objective = Objective(direction, doc.objective[1])
     lp = LinearProgram.from_arrays(normals, offsets, senses, objective)
     return normalize(lp, geom_tol)
 
 
 def parse_lp(text: str) -> LinearProgram:
-    """Parse the LP file format into a normalized program."""
+    """Parse the LP file format into a normalized program.
+
+    The program is normalized here, once: the solve functions give it back
+    unchanged from their own normalize, so it solves bit for bit like the
+    same rows passed to `LinearProgram.from_arrays`.
+    """
     return document_to_lp(parse_lp_document(text))
 
 

@@ -1,7 +1,6 @@
 """LP instance data model: the row arrays, normalization, residual checks, solver config."""
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
@@ -74,6 +73,14 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return view
 
 
+def _row_indices(rows: list[int]) -> np.ndarray:
+    """The rows as a read-only index array; every empty list gives the one shared empty array."""
+    return _readonly(np.array(rows, dtype=np.intp)) if rows else _NO_ROWS
+
+
+_NO_ROWS = _readonly(np.empty(0, dtype=np.intp))
+
+
 @dataclass(frozen=True, eq=False)
 class LinearProgram:
     """An LP instance: rows A x <senses> b over n variables, optional linear objective.
@@ -82,15 +89,16 @@ class LinearProgram:
     feasible side for GE/GT. Solvers require unit rows; use normalize() to
     enforce that. A and b are copied, validated and made read-only on
     construction, so an instance is safe to share across concurrent solves.
-    `strict` and `equalities` are the boolean masks of the GT and EQ rows.
+    `gt_rows` and `eq_rows` are the ascending indices of the GT and EQ rows,
+    found once where the senses are read.
     """
 
     A: np.ndarray
     b: np.ndarray
     senses: Optional[tuple[Sense, ...]] = None
     objective: Optional[Objective] = None
-    strict: np.ndarray = field(init=False, repr=False)
-    equalities: np.ndarray = field(init=False, repr=False)
+    gt_rows: np.ndarray = field(init=False, repr=False)
+    eq_rows: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         A = np.array(self.A, dtype=float)
@@ -107,44 +115,50 @@ class LinearProgram:
         senses = (Sense.GE,) * m if self.senses is None else tuple(self.senses)
         if len(senses) != m:
             raise DimensionMismatchError(f"senses have length {len(senses)}, expected {m}")
-        bad = ~(np.logical_and.reduce(np.isfinite(A), axis=1) & np.isfinite(b))
-        if np.logical_or.reduce(bad):
+        # each test runs once over the whole array; the offending row is looked for on failure
+        if not (np.logical_and.reduce(np.isfinite(A), axis=None)
+                and np.logical_and.reduce(np.isfinite(b))):
+            bad = ~(np.logical_and.reduce(np.isfinite(A), axis=1) & np.isfinite(b))
             raise ValueError(f"constraint {int(bad.argmax())}: coefficient or bound is not finite")
-        zero = ~np.logical_or.reduce(A, axis=1)
-        if np.logical_or.reduce(zero):
-            raise ZeroNormalError(int(zero.argmax()))
+        if not np.logical_and.reduce(A, axis=None):
+            # some coefficient is zero; a row is zero only when all of its coefficients are
+            zero = ~np.logical_or.reduce(A, axis=1)
+            if np.logical_or.reduce(zero):
+                raise ZeroNormalError(int(zero.argmax()))
         if self.objective is not None and self.objective.coefficients.shape[0] != n:
             raise DimensionMismatchError(
                 f"objective has length {self.objective.coefficients.shape[0]}, expected {n}")
-        if self.senses is None:
-            # every row is GE, so neither mask needs the per-row sense codes
-            strict, equalities = np.zeros(m, dtype=bool), np.zeros(m, dtype=bool)
-        else:
+        gt_rows = eq_rows = _NO_ROWS
+        if self.senses is not None:
+            gt, eq = [], []
             # Sense members compare by identity, so `is` tests match `==` exactly
-            codes = np.array([0 if s is Sense.GE else 1 if s is Sense.GT else 2 if s is Sense.EQ
-                              else -1 for s in senses], dtype=np.int8)
-            unknown = codes < 0
-            if np.logical_or.reduce(unknown):
-                raise ValueError(f"constraint {int(unknown.argmax())}: unknown sense")
-            strict, equalities = codes == 1, codes == 2
-        self._store(A, b, senses, self.objective, strict, equalities)
+            for k, sense in enumerate(senses):
+                if sense is Sense.GT:
+                    gt.append(k)
+                elif sense is Sense.EQ:
+                    eq.append(k)
+                elif sense is not Sense.GE:
+                    raise ValueError(f"constraint {k}: unknown sense")
+            gt_rows, eq_rows = _row_indices(gt), _row_indices(eq)
+        self._store(A, b, senses, self.objective, gt_rows, eq_rows)
 
-    def _store(self, A, b, senses, objective, strict, equalities) -> None:
-        for name, value in (("A", _readonly(A)), ("b", _readonly(b)), ("senses", senses),
-                            ("objective", objective), ("strict", _readonly(strict)),
-                            ("equalities", _readonly(equalities))):
-            object.__setattr__(self, name, value)
+    def _store(self, A, b, senses, objective, gt_rows, eq_rows, normalized=False) -> None:
+        # a frozen dataclass keeps its fields in the instance dict, so one update sets them all
+        self.__dict__.update(A=_readonly(A), b=_readonly(b), senses=senses, objective=objective,
+                             gt_rows=gt_rows, eq_rows=eq_rows, _normalized=normalized)
 
     @classmethod
     def _unchecked(cls, A: np.ndarray, b: np.ndarray, senses: tuple, objective: Optional[Objective],
-                   strict: np.ndarray, equalities: np.ndarray) -> "LinearProgram":
+                   gt_rows: np.ndarray, eq_rows: np.ndarray,
+                   normalized: bool = False) -> "LinearProgram":
         """Wrap arrays already known to be valid and consistent, without copying them.
 
         The program holds read-only views, so whoever owns A and b may still
         update them in place; phase II moves its artificial offset that way.
+        `normalized` marks a program that normalize() returned.
         """
         lp = object.__new__(cls)
-        lp._store(A, b, senses, objective, strict, equalities)
+        lp._store(A, b, senses, objective, gt_rows, eq_rows, normalized)
         return lp
 
     @classmethod
@@ -169,13 +183,17 @@ class LinearProgram:
     def satisfied(self, d: np.ndarray, feas_tol: float) -> np.ndarray:
         """Per-row mask: whether the signed distances d = A p - b meet each row's sense.
 
-        Each sense is a closed interval lo <= d <= hi: GE is [-tol, inf], EQ
-        is [-tol, tol] (|d| <= tol), and GT is [nextafter(tol, inf), inf],
-        which holds for exactly the doubles d > tol.
+        A GE row holds at d >= -tol, a GT row at d > tol and an EQ row at
+        |d| <= tol. The GE test is made on every row, then overwritten on the
+        GT and EQ rows; one path serves every mix of senses.
         """
-        lo = np.where(self.strict, math.nextafter(feas_tol, math.inf), -feas_tol)
-        hi = np.where(self.equalities, feas_tol, np.inf)
-        return (lo <= d) & (d <= hi)
+        ok = d >= -feas_tol
+        gt, eq = self.gt_rows, self.eq_rows
+        if gt.size:
+            ok[gt] = d[gt] > feas_tol
+        if eq.size:
+            ok[eq] = np.abs(d[eq]) <= feas_tol
+        return ok
 
     def row_satisfied(self, i: int, d_i: float, feas_tol: float) -> bool:
         """Whether row i meets its sense at signed distance d_i; entry i of satisfied()."""
@@ -187,19 +205,30 @@ class LinearProgram:
         return d_i >= -feas_tol
 
 
+# A unit row's norm is 1 to within a few units in the last place, so normalize's
+# zero-normal test cannot reject a row of a program it returned below this geom_tol.
+_UNIT_NORM_FLOOR = 0.5
+
+
 def normalize(lp: LinearProgram, geom_tol: float = 1e-9) -> LinearProgram:
     """Rescale every row so its normal has unit Euclidean norm.
 
     The satisfaction set of each row is unchanged (both sides are divided by
-    a positive number). Idempotent up to rounding.
+    a positive number). A program that normalize returned comes back as it
+    is, so normalizing twice gives the bits of normalizing once; a second
+    division would move the last bit of some rows. Only at geom_tol >= 0.5,
+    where the zero-normal test could reject a unit row, is it divided again,
+    and ZeroNormalError is raised as for any other program.
     """
+    if lp._normalized and geom_tol < _UNIT_NORM_FLOOR:
+        return lp
     # the expression np.linalg.norm(A, axis=1) evaluates, without its wrapper
     norms = np.sqrt(np.add.reduce(lp.A * lp.A, axis=1))
     short = norms <= geom_tol
     if np.logical_or.reduce(short):
         raise ZeroNormalError(int(short.argmax()))
     return LinearProgram._unchecked(lp.A / norms[:, None], lp.b / norms, lp.senses, lp.objective,
-                                    lp.strict, lp.equalities)
+                                    lp.gt_rows, lp.eq_rows, normalized=True)
 
 
 def check_point(lp: LinearProgram, p, feas_tol: float = 1e-8) -> bool:

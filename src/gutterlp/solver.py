@@ -143,7 +143,7 @@ def initial_point(lp: LinearProgram, geom_tol: float = 1e-9, feas_tol: float = 1
         if p.shape[0] != lp.dimension:
             raise DimensionMismatchError(
                 f"start point has length {p.shape[0]}, expected {lp.dimension}")
-    eq_indices = np.flatnonzero(lp.equalities).tolist()
+    eq_indices = lp.eq_rows.tolist()
     if not eq_indices:
         return p
     point, ok = _project_onto_planes(lp, eq_indices, p, geom_tol, feas_tol)
@@ -425,7 +425,7 @@ def _solve_feasibility_state(lp: LinearProgram, config: SolverConfig,
     # one basis serves the whole solve; every cycle re-pins it
     state = SolverState(p0=np.zeros(lp.dimension), epsilon=config.epsilon,
                         gutter=GutterBasis(lp.dimension),
-                        pinned_eq=set(np.flatnonzero(lp.equalities).tolist()))
+                        pinned_eq=set(lp.eq_rows.tolist()))
     try:
         state.p0 = initial_point(lp, config.geom_tol, config.feas_tol, start)
     except InconsistentEqualityError:
@@ -531,9 +531,9 @@ def solve_optimum(lp: LinearProgram, config: Optional[SolverConfig] = None,
     big_m = float(c_hat.dot(state.p0) + max(1.0, math.sqrt(state.p0.dot(state.p0))) * BIG_M_GROWTH)
     # the artificial row c_hat . x >= M is stacked once; each cycle only rewrites its offset
     offsets = np.concatenate((lp.b, [big_m]))
+    # the artificial row is GE, so the GT and EQ rows keep their indices
     lp_aug = LinearProgram._unchecked(np.vstack([lp.A, c_hat]), offsets, lp.senses + (Sense.GE,),
-                                      lp.objective, np.concatenate((lp.strict, [False])),
-                                      np.concatenate((lp.equalities, [False])))
+                                      lp.objective, lp.gt_rows, lp.eq_rows)
     escalations = 0
     best_point: Optional[np.ndarray] = None
     best_height = -math.inf

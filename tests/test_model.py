@@ -14,6 +14,7 @@ from gutterlp.model import (
     check_point,
     normalize,
 )
+from gutterlp import solver, testkit
 from gutterlp.solver import BIG_M_GROWTH, MAX_M_ESCALATIONS
 
 
@@ -49,8 +50,25 @@ class TestNormalize:
         lp = make_lp(rng.standard_normal((6, 4)) * 7.0, rng.standard_normal(6))
         once = normalize(lp)
         twice = normalize(once)
-        assert np.max(np.abs(once.A - twice.A)) <= 1e-15
-        assert np.all(np.abs(once.b - twice.b) <= 1e-15 * np.maximum(1.0, np.abs(once.b)))
+        assert np.array_equal(once.A, twice.A) and np.array_equal(once.b, twice.b)
+
+    def test_returns_its_own_output_as_is(self):
+        rng = np.random.default_rng(4)
+        lp = make_lp(rng.standard_normal((40, 5)) * 3.0, rng.standard_normal(40),
+                     [Sense.GE, Sense.GT, Sense.EQ, Sense.GE] * 10)
+        once = normalize(lp)
+        assert once is not lp
+        for geom_tol in (1e-9, 1e-3, 0.49):
+            assert normalize(once, geom_tol) is once
+        # rows that are unit already but were not normalized here are divided again
+        assert normalize(LinearProgram.from_arrays(once.A, once.b, once.senses)) is not once
+
+    @pytest.mark.parametrize("geom_tol", [1.0, 2.0])
+    def test_geom_tol_of_one_or_more_rejects_its_own_output(self, geom_tol):
+        # a unit row's norm is 1 up to rounding, so the zero-normal test rejects it again
+        once = normalize(make_lp([[3.0, 4.0], [0.0, 2.0]], [1.0, 1.0]))
+        with pytest.raises(ZeroNormalError):
+            normalize(once, geom_tol)
 
     def test_sign_of_distance_preserved(self):
         rng = np.random.default_rng(11)
@@ -112,9 +130,10 @@ class TestRowSatisfied:
 
 
 def _three_where_mask(lp, d, tol):
-    """The per-sense formula the interval bounds of `satisfied` replace."""
-    return np.where(lp.equalities, np.abs(d) <= tol,
-                    np.where(lp.strict, d > tol, d >= -tol))
+    """The per-sense formula, read from the senses themselves, that `satisfied` must equal."""
+    strict = np.array([s is Sense.GT for s in lp.senses])
+    equalities = np.array([s is Sense.EQ for s in lp.senses])
+    return np.where(equalities, np.abs(d) <= tol, np.where(strict, d > tol, d >= -tol))
 
 
 def _near_tolerance(tol):
@@ -132,6 +151,44 @@ class TestSatisfiedBounds:
         d = np.array([_near_tolerance(tol)[k] for _, k in rows])
         lp = make_lp(np.ones((len(rows), 1)), np.zeros(len(rows)), senses)
         assert lp.satisfied(d, tol).tolist() == _three_where_mask(lp, d, tol).tolist()
+
+    @settings(max_examples=100, deadline=None)
+    @given(senses=st.lists(st.sampled_from([Sense.GE, Sense.GT, Sense.EQ]), min_size=1,
+                           max_size=30),
+           tol=st.sampled_from([1e-8, 1e-12, 0.5]), seed=st.integers(0, 2**16))
+    def test_normalized_program_keeps_the_per_sense_formula(self, senses, tol, seed):
+        rng = np.random.default_rng(seed)
+        m = len(senses)
+        lp = normalize(make_lp(rng.standard_normal((m, 3)) * 4.0, rng.standard_normal(m),
+                               senses))
+        d = np.array(_near_tolerance(tol))[rng.integers(0, 10, m)]
+        assert lp.satisfied(d, tol).tolist() == _three_where_mask(lp, d, tol).tolist()
+
+    def test_phase_two_stacked_program_keeps_the_per_sense_formula(self, monkeypatch):
+        # phase II resolves an artificial GE row stacked under the program's rows
+        stacked = []
+        resolve = solver.resolve_constraint
+
+        def spy(lp, *args, **kwargs):
+            stacked.append(lp)
+            return resolve(lp, *args, **kwargs)
+
+        monkeypatch.setattr(solver, "resolve_constraint", spy)
+        inst = testkit.gen_feasible(4, 12, 0.1, 1)
+        senses = [Sense.EQ, Sense.GE, Sense.GT] * 4
+        offsets = inst.lp.b.copy()
+        offsets[::3] = inst.lp.A[::3] @ inst.certificate.point
+        lp = make_lp(inst.lp.A, offsets, senses,
+                     Objective(Direction.MAX, np.array([1.0, -2.0, 0.5, 1.0])))
+        solver.solve_optimum(lp)
+        stacked = [p for p in stacked if p.num_constraints == 13]
+        assert stacked and stacked[0].senses == tuple(senses) + (Sense.GE,)
+        rng = np.random.default_rng(0)
+        for tol in (1e-8, 0.5):
+            for _ in range(20):
+                d = np.array(_near_tolerance(tol))[rng.integers(0, 10, 13)]
+                assert stacked[0].satisfied(d, tol).tolist() == \
+                    _three_where_mask(stacked[0], d, tol).tolist()
 
     def test_non_finite_distances(self):
         lp = make_lp(np.ones((3, 1)), np.zeros(3), [Sense.GE, Sense.GT, Sense.EQ])

@@ -10,6 +10,7 @@ from gutterlp.model import (
     Sense,
     SolverConfig,
     Verdict,
+    ZeroNormalError,
     check_point,
     normalize,
 )
@@ -404,3 +405,50 @@ def test_tracing_changes_no_result(family, n, m):
     for seed in range(10):
         lp, solve = _instance(family, n, m, seed)
         assert _result_record(solve(lp)) == _result_record(solve(lp, trace=lambda event: None))
+
+
+def _text_and_arrays(family, n, m, seed):
+    """One program twice: as LP text read by `cli.parse_lp`, and from arrays.
+
+    The mixed family holds `>=`, `>`, `=` and `<=` rows around the certified
+    interior point; a `<=` row is written negated, as the parser flips it back.
+    """
+    inst = (testkit.gen_infeasible(n, m, seed) if family == "infeasible"
+            else testkit.gen_feasible(n, m, 0.1, seed))
+    A, b = inst.lp.A.copy(), inst.lp.b.copy()
+    ops = [">="] * m
+    objective = None
+    if family == "mixed":
+        ops = [[">=", ">", "=", "<="][k % 4] for k in range(m)]
+        b[2::4] = A[2::4] @ inst.certificate.point
+    if family.startswith("optimize"):
+        direction = Direction.MAX if family == "optimize-max" else Direction.MIN
+        objective = Objective(direction, np.random.default_rng((seed, n)).standard_normal(n))
+    sign = np.array([-1.0 if op == "<=" else 1.0 for op in ops])
+    text_rows = tuple((tuple(a.tolist()), op, r)
+                      for a, op, r in zip(sign[:, None] * A, ops, (sign * b).tolist()))
+    doc = cli.LpFileDocument(n, None if objective is None else (
+        objective.direction.value, tuple(objective.coefficients.tolist())), text_rows)
+    senses = [{">": Sense.GT, "=": Sense.EQ}.get(op, Sense.GE) for op in ops]
+    arrays = LinearProgram.from_arrays(A, b, senses, objective)
+    solve = solve_feasibility if objective is None else solve_optimum
+    return cli.parse_lp(cli.serialize_lp(doc)), arrays, solve
+
+
+@pytest.mark.parametrize("family,n,m", [("feasible", 2, 6), ("infeasible", 3, 8),
+                                        ("optimize-max", 4, 12), ("optimize-min", 4, 12),
+                                        ("mixed", 4, 12)])
+def test_lp_text_and_arrays_give_identical_results(family, n, m):
+    # a parsed program is normalized once, in parse_lp, as an array-built one is in the solve
+    for seed in range(10):
+        text, arrays, solve = _text_and_arrays(family, n, m, seed)
+        text_events, array_events = [], []
+        assert _result_record(solve(text, trace=text_events.append)) == \
+            _result_record(solve(arrays, trace=array_events.append)), seed
+        assert text_events == array_events, seed
+
+
+def test_parsed_program_under_geom_tol_of_one_still_rejects_unit_rows():
+    lp = cli.parse_lp("vars 2\nc 3 4 >= 1\nc 0 -2 >= -5\n")
+    with pytest.raises(ZeroNormalError):
+        solve_feasibility(lp, SolverConfig(epsilon=2.0, geom_tol=1.0))
