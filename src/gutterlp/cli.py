@@ -397,7 +397,11 @@ def run_bench(args) -> int:
         print(f"error: bad --seeds value {args.seeds!r}", file=sys.stderr)
         return EXIT_USAGE
 
-    config = SolverConfig(epsilon=args.epsilon) if args.epsilon is not None else SolverConfig()
+    try:
+        config = SolverConfig(epsilon=args.epsilon) if args.epsilon is not None else SolverConfig()
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     counts = {"instances": 0, "feasible": 0, "infeasible": 0, "stalled": 0,
               "disagreements": 0, "unsound": 0}
     t_start = time.perf_counter()

@@ -1,6 +1,7 @@
 """LP instance data model: the row arrays, normalization, residual checks, solver config."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
@@ -255,6 +256,9 @@ class SolverConfig:
     max_iters: Optional[int] = None
 
     def __post_init__(self):
+        for name in ("epsilon", "geom_tol", "feas_tol"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.geom_tol <= 0:
             raise ValueError("geom_tol must be positive")
         if self.feas_tol <= 0:

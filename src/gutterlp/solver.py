@@ -1,13 +1,14 @@
 """Feasibility and optimum search by sliding an epsilon-ball along constraint planes.
 
 The solver repeatedly picks the most-violated constraint and moves the ball
-center toward its plane. Satisfied planes encountered on the way either push
-the center back to an epsilon standoff (far obstacles) or join the "gutter"
-of touching planes (near obstacles); movement then continues parallel to the
-whole gutter, in the direction that approaches the target fastest. When no
-such direction remains, the ball is either shrunk to fit a narrow region,
-switched to equality mode for non-full-dimensional regions, or the target is
-declared unresolvable.
+center toward its plane. A satisfied plane met on the way stops the center
+at an epsilon standoff (backing off from the hit point when the plane was
+far) and, now touching the ball, joins the "gutter" of touching planes in the
+same step; movement then continues parallel to the whole gutter, in the
+direction that approaches the target fastest. When no such direction
+remains, the ball is either shrunk to fit a narrow region, switched to
+equality mode for non-full-dimensional regions, or the target is declared
+unresolvable.
 
 Most arrays on the solve path hold 4 to 500 entries, so numpy's per-call
 dispatch costs more than the arithmetic: products go through `ndarray.dot`,
@@ -173,7 +174,7 @@ def _repin(basis: GutterBasis, lp: LinearProgram, pinned, geom_tol: float) -> Gu
     return basis
 
 
-def _slide_direction(lp: LinearProgram, basis: GutterBasis, p0: np.ndarray,
+def _slide_direction(lp: LinearProgram, basis: GutterBasis, d: float,
                      target: int, geom_tol: float, feas_tol: float,
                      epsilon: float = 0.0) -> tuple[Optional[np.ndarray], float]:
     """Movement direction parallel to the gutter that approaches the target plane.
@@ -181,9 +182,10 @@ def _slide_direction(lp: LinearProgram, basis: GutterBasis, p0: np.ndarray,
     Equivalent to normalizing P3 - P1, where P1 and P3 are the projections of
     the center and of its target-plane foot onto the gutter intersection; the
     second value is |P3 - P1|, whose vanishing signals "no slope on the gutter".
-    A target within feas_tol of its plane (a strict target left on it) has the
-    gap up to the epsilon standoff left to travel instead of the plane
-    distance, the same test resolve_constraint uses for its hit time.
+    d is the target's signed distance at the center, taken from the caller's
+    A p0 - b. A target within feas_tol of its plane (a strict target left on
+    it) has the gap up to the epsilon standoff left to travel instead of the
+    plane distance, the same test resolve_constraint uses for its hit time.
     """
     a = lp.A[target]
     rows = basis.size
@@ -193,7 +195,6 @@ def _slide_direction(lp: LinearProgram, basis: GutterBasis, p0: np.ndarray,
     else:
         proj = a
     norm = math.sqrt(proj.dot(proj))
-    d = float(a.dot(p0) - lp.b[target])
     travel = -d if d < -feas_tol else max(epsilon - d, 0.0)
     slope = travel * norm
     if norm <= geom_tol or slope <= geom_tol:
@@ -235,10 +236,12 @@ def resolve_constraint(lp: LinearProgram, state: SolverState, config: SolverConf
     index, the target included. For each slide direction the open rows carry
     -A dir (`live`, -inf when closed), so a scan is t = (A p0 - b) / live.
 
-    A far obstacle moves the center back to its epsilon standoff and keeps
-    the direction; the next step scans again from there and meets the
-    obstacle as a near one. A p0 - b is recomputed only after the center
-    moved, and A dir and live only after the direction changed.
+    A far obstacle moves the center back to its epsilon standoff, where it
+    touches the ball, and joins the gutter in the same step, as a near one
+    does. With epsilon == 0 the center lands on the far plane, which the
+    next scan drops, so there the backoff ends its step. A p0 - b is
+    recomputed only after the center moved, and A dir and live only after
+    the direction changed.
     """
     i = state.target_index
     A, b = lp.A, lp.b
@@ -254,7 +257,7 @@ def resolve_constraint(lp: LinearProgram, state: SolverState, config: SolverConf
     open_rows[i] = False
     if state.pinned_eq or state.gutter.size:
         open_rows[[*state.pinned_eq, *state.gutter.indices]] = False
-    direction, _ = _slide_direction(lp, state.gutter, state.p0, i, geom_tol, feas_tol, eps)
+    direction, _ = _slide_direction(lp, state.gutter, float(d[i]), i, geom_tol, feas_tol, eps)
     if direction is None:
         _emit(trace, state, EventKind.STALL, "no-slope at cycle start", stopped=True)
         return ResolveOutcome.NO_SLOPE
@@ -318,18 +321,18 @@ def resolve_constraint(lp: LinearProgram, state: SolverState, config: SolverConf
             _advance(state, t_end, trace)
             continue
 
+        # put the center at the epsilon standoff on the ray, never moving
+        # backward; the obstacle then touches the ball and joins the gutter
         slope_j = abs(float(slope[j]))
-        if d[j] > eps + feas_tol:
-            # far obstacle: retreat along the ray to an epsilon standoff, keep direction
-            _advance(state, t_first - eps / slope_j, trace)
-            _emit(trace, state, EventKind.OBSTACLE_BACKOFF, "obstacle={}", j)
-            continue
-
-        # near obstacle: it touches the ball; put the center at the epsilon
-        # standoff on the ray (never moving backward) and add it to the gutter
         t_place = t_first - (eps / slope_j if eps > 0 else 0.0)
+        far = d[j] > eps + feas_tol
         if t_place > 0:
             _advance(state, t_place, trace)
+        if far:
+            _emit(trace, state, EventKind.OBSTACLE_BACKOFF, "obstacle={}", j)
+            if eps == 0:
+                # a zero-radius ball lands on the plane, which the next scan drops
+                continue
         open_rows[j] = False
         if not state.gutter.append_row(j, A[j], b[j], geom_tol):
             skipped.append(j)
@@ -342,7 +345,11 @@ def resolve_constraint(lp: LinearProgram, state: SolverState, config: SolverConf
         if state.gutter.size >= n:
             _emit(trace, state, EventKind.GUTTER_APPEND, "plane={}", j, stopped=True)
             continue
-        direction, _ = _slide_direction(lp, state.gutter, state.p0, i, geom_tol, feas_tol, eps)
+        if state.p0 is not d_at:
+            d = A.dot(state.p0)
+            d -= b
+            d_at = state.p0
+        direction, _ = _slide_direction(lp, state.gutter, float(d[i]), i, geom_tol, feas_tol, eps)
         if direction is None:
             _emit(trace, state, EventKind.GUTTER_APPEND, "plane={}", j, stopped=True)
             _emit(trace, state, EventKind.STALL, "no-slope", stopped=True)

@@ -8,6 +8,7 @@ event. Desk scale only.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
@@ -106,8 +107,8 @@ def oracle_solve(lp: LinearProgram, bound: float = 100.0,
     m = lp.num_constraints
     if n > ORACLE_MAX_DIMENSION or m > ORACLE_MAX_CONSTRAINTS:
         raise ScaleExceededError(f"oracle limited to n<={ORACLE_MAX_DIMENSION}, m<={ORACLE_MAX_CONSTRAINTS}")
-    if bound <= 0:
-        raise ValueError("bound must be positive")
+    if not (0 < bound < math.inf):
+        raise ValueError("bound must be finite and positive")
 
     planes = np.vstack([lp.A, np.eye(n), -np.eye(n)])
     rhs = np.concatenate([lp.b, np.full(n, -bound), np.full(n, -bound)])
@@ -236,8 +237,11 @@ def check_trace(lp: LinearProgram, events: Sequence[TraceEvent], epsilon: float,
     Checks: direction orthogonality to every gutter plane; no move breaking a
     constraint that previously held with at least an epsilon margin; gutter
     never larger than the dimension, and GUTTER_FULL only at exactly n rows;
-    MOVE events strictly change the center. Constraint indices beyond the
-    program (the artificial objective plane) are ignored.
+    MOVE events strictly change the center. With epsilon > 0, every
+    OBSTACLE_BACKOFF is followed, in the same iteration and before any other
+    non-MOVE event, by a GUTTER_APPEND or GUTTER_SKIP_DEGENERATE of the same
+    plane. Constraint indices beyond the program (the artificial objective
+    plane) are ignored.
     """
     problems: list[str] = []
     m = lp.num_constraints
@@ -249,8 +253,20 @@ def check_trace(lp: LinearProgram, events: Sequence[TraceEvent], epsilon: float,
     current_eps = float(epsilon)
     current_target: Optional[int] = None
     prev_p0: Optional[np.ndarray] = None
+    # after a backoff: (its event index, its iteration, the detail its append must carry)
+    backoff: Optional[tuple[int, int, str]] = None
 
     for k, ev in enumerate(events):
+        if backoff is not None and ev.kind is not EventKind.MOVE:
+            if not (ev.kind in (EventKind.GUTTER_APPEND, EventKind.GUTTER_SKIP_DEGENERATE)
+                    and (ev.iteration, ev.detail) == backoff[1:]):
+                problems.append(f"event {backoff[0]}: OBSTACLE_BACKOFF not followed by the "
+                                f"gutter append of {backoff[2]} in iteration {backoff[1]} "
+                                f"(event {k} is {ev.kind.value} {ev.detail})")
+            backoff = None
+        if ev.kind is EventKind.OBSTACLE_BACKOFF and epsilon > 0:
+            backoff = (k, ev.iteration, ev.detail.replace("obstacle=", "plane=", 1))
+
         p0 = np.asarray(ev.p0, dtype=float)
         dir_vec = np.asarray(ev.dir, dtype=float)
         gutter = [g for g in ev.gutter_indices if g < m]
@@ -294,6 +310,9 @@ def check_trace(lp: LinearProgram, events: Sequence[TraceEvent], epsilon: float,
 
         prev_p0 = p0
 
+    if backoff is not None:
+        problems.append(f"event {backoff[0]}: OBSTACLE_BACKOFF not followed by the "
+                        f"gutter append of {backoff[2]} before the trace ends")
     return problems
 
 

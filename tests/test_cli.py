@@ -190,6 +190,18 @@ class TestSolveCommand:
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("flag", ["--epsilon", "--geom-tol", "--feas-tol"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_tolerance_is_a_usage_error(self, tmp_path, capsys, flag, value):
+        path = tmp_path / "two.lp"
+        path.write_text(TWO_PLANE)
+        code = cli.main(["solve", str(path), flag, value])
+        captured = capsys.readouterr()
+        assert code == 64
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
     def test_negative_start_in_either_form(self, tmp_path, capsys):
         path = tmp_path / "two.lp"
         path.write_text(TWO_PLANE)
@@ -278,6 +290,17 @@ class TestGenOracleBench:
         assert record["verdict"] == "OPTIMAL"
         assert record["objective"] == pytest.approx(2.0, abs=1e-9)
 
+    @pytest.mark.parametrize("bound", ["nan", "inf", "0"])
+    def test_oracle_bound_must_be_finite_and_positive(self, tmp_path, capsys, bound):
+        path = tmp_path / "tri.lp"
+        path.write_text(TRIANGLE_MAX)
+        code = cli.main(["oracle", str(path), "--bound", bound])
+        captured = capsys.readouterr()
+        assert code == 65
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
     def test_bench_feasible_batch(self, capsys):
         code = cli.main(["bench", "--feasible", "--seeds", "1..6", "-n", "3",
                          "-m", "6", "--slack", "0.15"])
@@ -308,6 +331,15 @@ class TestGenOracleBench:
                                       ["--feasible", "--slack", "0"]])
     def test_bench_bad_generator_sizes_are_usage_errors(self, capsys, args):
         code = cli.main(["bench", *args])
+        captured = capsys.readouterr()
+        assert code == 64
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("epsilon", ["-1", "nan", "inf"])
+    def test_bench_bad_epsilon_is_a_usage_error(self, capsys, epsilon):
+        code = cli.main(["bench", "--feasible", "--seeds", "0..1", "--epsilon", epsilon])
         captured = capsys.readouterr()
         assert code == 64
         assert captured.out == ""

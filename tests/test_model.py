@@ -272,6 +272,12 @@ class TestSolverConfig:
         with pytest.raises(TypeError):
             SolverConfig(big_M_growth=2.0)
 
+    @pytest.mark.parametrize("field", ["epsilon", "geom_tol", "feas_tol"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_tolerances_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            SolverConfig(**{field: value})
+
     def test_max_iters_caps_both(self):
         lp = make_lp([[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0])
         cfg = SolverConfig(max_iters=3)

@@ -319,7 +319,7 @@ def _result_record(result):
 
 
 class TestFarObstacle:
-    """A far obstacle is backed off from, then found again as a near one."""
+    """A far obstacle is backed off from and joins the gutter in the same step."""
 
     def test_far_obstacle_backs_off_then_joins_the_gutter(self):
         # heading for x >= 2 from (0, 0.5), the ball meets x + y <= 1.5 far away
@@ -332,11 +332,11 @@ class TestFarObstacle:
         assert [(e.iteration, e.kind, e.detail) for e in events] == [
             (1, EventKind.MOVE, "advance t=9.858578644e-01"),
             (1, EventKind.OBSTACLE_BACKOFF, "obstacle=0"),
-            (2, EventKind.GUTTER_APPEND, "plane=0"),
-            (3, EventKind.MOVE, "advance t=1.448355698e+00"),
-            (3, EventKind.RESOLVED, "target=1"),
+            (1, EventKind.GUTTER_APPEND, "plane=0"),
+            (2, EventKind.MOVE, "advance t=1.448355698e+00"),
+            (2, EventKind.RESOLVED, "target=1"),
         ]
-        assert state.inner_iter == 3
+        assert state.inner_iter == 2
         # the distances handed back belong to the final center
         assert np.array_equal(state.distances, lp.A @ state.p0 - lp.b)
 
@@ -353,6 +353,25 @@ class TestFarObstacle:
             (EventKind.GUTTER_APPEND, "plane=1"),
             (EventKind.GUTTER_FULL, "target=2 rows=2"),
         ]
+
+    def test_zero_radius_backoff_is_its_own_step(self):
+        # without a ball the center lands on x + y <= 1.5 and the next scan,
+        # which drops planes at t = 0, lets it cross: nothing joins the gutter
+        lp = make_lp([[-1.0, -1.0], [1.0, 0.0]], [-1.5, 2.0])
+        state = SolverState(p0=np.array([0.0, 0.5]), epsilon=0.0,
+                            gutter=GutterBasis(2), target_index=1)
+        events = []
+        outcome = resolve_constraint(lp, state, CFG, events.append)
+        assert outcome is ResolveOutcome.RESOLVED
+        assert [(e.iteration, e.kind, e.detail) for e in events] == [
+            (1, EventKind.MOVE, "advance t=1.000000000e+00"),
+            (1, EventKind.OBSTACLE_BACKOFF, "obstacle=0"),
+            (2, EventKind.MOVE, "advance t=1.000000000e+00"),
+            (2, EventKind.RESOLVED, "target=1"),
+        ]
+        assert state.inner_iter == 2
+        assert state.gutter.size == 0
+        assert lp.A[0] @ state.p0 - lp.b[0] < 0
 
 
 def _lp_text(lp, objective=None):

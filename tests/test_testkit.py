@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,11 +10,13 @@ from gutterlp.model import (
     LinearProgram,
     Objective,
     Sense,
+    SolverConfig,
     Verdict,
     check_point,
     normalize,
 )
 from gutterlp import testkit
+from gutterlp.solver import EventKind, SolverState, resolve_constraint
 
 
 def make_lp(rows, offsets, senses=None, objective=None):
@@ -148,3 +152,50 @@ class TestGenerators:
             assert testkit.oracle_solve(feas.lp).verdict is Verdict.FEASIBLE
             infeas = testkit.gen_infeasible(3, 6, seed)
             assert testkit.oracle_solve(infeas.lp).verdict is Verdict.INFEASIBLE
+
+
+class TestCheckTraceBackoff:
+    """A backed-off obstacle must join the gutter in the step that backed off from it."""
+
+    # heading for x >= 2 from (0, 0.5), the ball backs off from x + y <= 1.5
+    LP = make_lp([[-1.0, -1.0], [1.0, 0.0]], [-1.5, 2.0])
+
+    def _trace(self):
+        state = SolverState(p0=np.array([0.0, 0.5]), epsilon=0.01,
+                            gutter=GutterBasis(2), target_index=1)
+        events = []
+        resolve_constraint(self.LP, state, SolverConfig(), events.append)
+        assert [e.kind for e in events][1:3] == [EventKind.OBSTACLE_BACKOFF,
+                                                 EventKind.GUTTER_APPEND]
+        return events
+
+    def test_solver_trace_passes(self):
+        assert testkit.check_trace(self.LP, self._trace(), 0.01) == []
+
+    @pytest.mark.parametrize("change", ["drop", "later", "other-plane", "skip-other-plane"])
+    def test_backoff_without_its_append_is_reported(self, change):
+        events = self._trace()
+        append = events[2]
+        if change == "drop":
+            del events[2]
+        elif change == "later":
+            events[2] = dataclasses.replace(append, iteration=append.iteration + 1)
+        elif change == "other-plane":
+            events[2] = dataclasses.replace(append, detail="plane=1")
+        else:
+            events[2] = dataclasses.replace(append, kind=EventKind.GUTTER_SKIP_DEGENERATE,
+                                            detail="plane=1")
+        problems = testkit.check_trace(self.LP, events, 0.01)
+        assert len(problems) == 1
+        assert problems[0].startswith("event 1: OBSTACLE_BACKOFF not followed by the "
+                                      "gutter append of plane=0 in iteration 1")
+
+    def test_backoff_at_the_end_of_a_trace_is_reported(self):
+        problems = testkit.check_trace(self.LP, self._trace()[:2], 0.01)
+        assert problems == ["event 1: OBSTACLE_BACKOFF not followed by the "
+                            "gutter append of plane=0 before the trace ends"]
+
+    def test_zero_radius_backoff_ends_its_step(self):
+        events = self._trace()
+        del events[2]
+        assert testkit.check_trace(self.LP, events, 0.0) == []
