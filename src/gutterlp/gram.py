@@ -125,6 +125,16 @@ class GutterBasis:
             return np.zeros(self.dimension)
         return self._normals[:t].T.dot(self._inverse[:t, :t].dot(r))
 
+    def multipliers(self, a) -> np.ndarray:
+        """-(G G^T)^-1 G a: the weights y with G^T y nearest to -a; empty for an empty basis.
+
+        When a lies in the row span, a + G^T y = 0. With a the objective
+        direction of a maximization over rows G x >= h, y >= 0 is the KKT
+        condition that makes the gutter vertex optimal.
+        """
+        t = len(self._indices)
+        return -self._inverse[:t, :t].dot(self._normals[:t].dot(a))
+
     def reset(self) -> None:
         """Empty the basis; the buffers are kept for the next rows."""
         self._indices.clear()

@@ -505,15 +505,58 @@ def solve_feasibility(lp: LinearProgram, config: Optional[SolverConfig] = None,
     return result
 
 
+def _kkt_optimal(lp: LinearProgram, basis: GutterBasis, c_hat: np.ndarray,
+                 geom_tol: float) -> bool:
+    """Whether the gutter vertex maximizes c_hat: the KKT conditions on the gutter rows.
+
+    c_hat must lie in the gutter's row span, and the multipliers
+    y = -(G G^T)^-1 G c_hat of the rows that are not equalities must be
+    nonnegative (to -geom_tol). Then c_hat = -G^T y, and every feasible x has
+    c_hat . x <= c_hat . x* at a feasible x* on the gutter planes.
+    """
+    y = basis.multipliers(c_hat)
+    residual = c_hat + basis.normals_matrix().T.dot(y)
+    if math.sqrt(residual.dot(residual)) > geom_tol:
+        return False
+    if lp.eq_rows.size:
+        y = y[~np.isin(basis.indices, lp.eq_rows)]
+    return bool(np.logical_and.reduce(y >= -geom_tol))
+
+
+def _recession_ray(lp: LinearProgram, direction: np.ndarray, geom_tol: float) -> bool:
+    """Whether every feasible point stays feasible along `direction`.
+
+    No inequality row may approach it faster than the scan's parallel
+    threshold geom_tol, and no equality row may tilt from it by more. A slide
+    direction always climbs the objective, so such a direction proves the
+    program unbounded.
+    """
+    slope = lp.A.dot(direction)
+    ok = slope >= -geom_tol
+    if lp.eq_rows.size:
+        ok[lp.eq_rows] = np.abs(slope[lp.eq_rows]) <= geom_tol
+    return bool(np.logical_and.reduce(ok))
+
+
 def solve_optimum(lp: LinearProgram, config: Optional[SolverConfig] = None,
                   start=None, trace: TraceSink = None) -> SolveResult:
     """Optimize the objective: feasibility first, then drive the objective plane.
 
     The objective is pushed by resolving an artificial constraint
-    c_hat . x >= M; if the constraint keeps getting resolved, M grows
-    geometrically until the problem is declared unbounded. A stall or a full
-    gutter on the artificial constraint is the stopping condition; projecting
-    the center onto the gutter then removes the epsilon gaps.
+    c_hat . x >= M, and phase II stops at the first proof:
+    - a stall (GUTTER_FULL or NO_SLOPE) whose gutter vertex, the center
+      projected onto the gutter planes, passes check_point and the KKT test
+      (c_hat in the gutter's row span, multipliers >= -geom_tol on every row
+      that is not an equality) returns that vertex as OPTIMAL;
+    - a resolved cycle whose center passes check_point and whose last slide
+      direction is a recession ray (no inequality row has A dir < -geom_tol,
+      every equality row has |A dir| <= geom_tol) returns UNBOUNDED with the
+      diagnostic "recession ray".
+    Without a proof the big-M fallback runs. A resolved cycle raises M by
+    BIG_M_GROWTH, and after MAX_M_ESCALATIONS raises the program is called
+    unbounded. An unproven stall keeps its feasible gutter vertex as a
+    candidate and retries from the center with a fresh gutter; a stall that
+    repeats without objective progress ends the search with the best one.
     """
     if lp.objective is None:
         raise ValueError("solve_optimum requires an objective")
@@ -556,6 +599,10 @@ def solve_optimum(lp: LinearProgram, config: Optional[SolverConfig] = None,
         outcome = resolve_constraint(lp_aug, state, config, trace)
 
         if outcome is ResolveOutcome.RESOLVED:
+            if _recession_ray(lp, state.dir, config.geom_tol) and \
+                    check_point(lp, state.p0, config.feas_tol):
+                diagnostics.append("recession ray")
+                return _result(Verdict.UNBOUNDED, state, diagnostics)
             if escalations >= MAX_M_ESCALATIONS:
                 diagnostics.append("objective still improving after all M escalations")
                 return _result(Verdict.UNBOUNDED, state, diagnostics)
@@ -566,11 +613,17 @@ def solve_optimum(lp: LinearProgram, config: Optional[SolverConfig] = None,
             continue
 
         # stalled or full gutter: take the gutter intersection as an optimum
-        # candidate, then retry from here with a fresh gutter; a stall that
-        # repeats without objective progress is the stopping condition
+        # candidate, proven when its multipliers say so; otherwise retry from
+        # here with a fresh gutter, and a stall that repeats without objective
+        # progress is the stopping condition
         last_detail = outcome.value
         optimum = project_onto_intersection(state.gutter, state.p0, np.zeros(state.gutter.size))
         if check_point(lp, optimum, config.feas_tol):
+            if outcome in (ResolveOutcome.GUTTER_FULL, ResolveOutcome.NO_SLOPE) and \
+                    _kkt_optimal(lp, state.gutter, c_hat, config.geom_tol):
+                diagnostics.append(f"optimum at {last_detail}")
+                return _result(Verdict.OPTIMAL, state, diagnostics, point=optimum,
+                               objective_value=float(c.dot(optimum)))
             height = float(c_hat.dot(optimum))
             if height > best_height:
                 best_height = height

@@ -99,9 +99,11 @@ def oracle_solve(lp: LinearProgram, bound: float = 100.0,
     Every n-subset of constraint planes plus box faces is solved as a square
     system and kept if feasible. The objective-best vertex wins; if every
     optimal vertex sits on the box and enlarging the box by 10x strictly
-    improves the objective, the problem is unbounded. Strict (GT) rows are
-    checked strictly, so open regions whose closures only touch at strict
-    faces can be missed; generated suites avoid that case.
+    improves the objective, the problem is unbounded. A bound whose tenfold
+    overflows, or whose retry overflows the vertex arithmetic, raises
+    ValueError. Strict (GT) rows are checked strictly, so open regions whose
+    closures only touch at strict faces can be missed; generated suites
+    avoid that case.
     """
     n = lp.dimension
     m = lp.num_constraints
@@ -109,6 +111,10 @@ def oracle_solve(lp: LinearProgram, bound: float = 100.0,
         raise ScaleExceededError(f"oracle limited to n<={ORACLE_MAX_DIMENSION}, m<={ORACLE_MAX_CONSTRAINTS}")
     if not (0 < bound < math.inf):
         raise ValueError("bound must be finite and positive")
+    retry_overflows = ValueError(f"bound {bound:g} is too large: an optimum on the box is "
+                                 f"retried with bound * 10, which overflows")
+    if lp.objective is not None and _allow_escalation and bound * 10.0 == math.inf:
+        raise retry_overflows
 
     planes = np.vstack([lp.A, np.eye(n), -np.eye(n)])
     rhs = np.concatenate([lp.b, np.full(n, -bound), np.full(n, -bound)])
@@ -129,7 +135,11 @@ def oracle_solve(lp: LinearProgram, bound: float = 100.0,
     on_box = np.any(np.abs(optimal) >= bound - 1e-6, axis=1)
 
     if np.all(on_box) and _allow_escalation:
-        bigger = oracle_solve(lp, bound * 10.0, _allow_escalation=False)
+        try:
+            with np.errstate(over="raise"):
+                bigger = oracle_solve(lp, bound * 10.0, _allow_escalation=False)
+        except FloatingPointError as exc:
+            raise retry_overflows from exc
         if bigger.verdict in (Verdict.OPTIMAL, Verdict.FEASIBLE) and bigger.value is not None:
             grown = bigger.value if lp.objective.direction is Direction.MAX else -bigger.value
             if grown > best + 1e-7 * (1.0 + abs(best)):

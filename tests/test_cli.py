@@ -301,6 +301,20 @@ class TestGenOracleBench:
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("bound", ["1e+308", "1e+307"])
+    def test_oracle_bound_whose_retry_overflows(self, tmp_path, capsys, bound):
+        # an optimum on the box is retried at 10x the bound: past the float
+        # maximum at 1e308, and with vertex residuals past it at 1e307
+        path = tmp_path / "ray.lp"
+        path.write_text("vars 1\nobjective max 1\nc 1 >= 0\n")
+        code = cli.main(["oracle", str(path), "--bound", bound])
+        captured = capsys.readouterr()
+        assert code == 65
+        assert captured.out == ""
+        assert captured.err == (f"error: bound {bound} is too large: an optimum on the box is "
+                                "retried with bound * 10, which overflows\n")
+        assert cli.main(["oracle", str(path), "--bound", "1e300"]) == 2
+
     def test_bench_feasible_batch(self, capsys):
         code = cli.main(["bench", "--feasible", "--seeds", "1..6", "-n", "3",
                          "-m", "6", "--slack", "0.15"])

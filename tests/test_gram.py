@@ -209,6 +209,37 @@ class TestInPlaceBuffers:
             else:
                 assert basis.gram_inverse.shape == (0, 0)
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_multipliers_match_direct_over_random_sequences(self, data):
+        n = data.draw(st.integers(1, 6), label="n")
+        basis = GutterBasis(n)
+        for index in range(data.draw(st.integers(1, 14), label="steps")):
+            if data.draw(st.sampled_from(["row", "row", "row", "reset"]), label="op") == "reset":
+                basis.reset()
+            else:
+                row = np.array(data.draw(st.lists(COEFFICIENT, min_size=n, max_size=n), label="row"))
+                if np.linalg.norm(row) < 1e-3:
+                    continue
+                basis.append_row(index, unit(row), geom_tol=1e-3)
+            a = np.array(data.draw(st.lists(COEFFICIENT, min_size=n, max_size=n), label="a"))
+            got = basis.multipliers(a)
+            assert got.shape == (basis.size,)
+            if basis.size:
+                G = basis.normals_matrix()
+                direct = -np.linalg.inv(G @ G.T) @ G @ a
+                assert np.max(np.abs(got - direct)) <= 1e-9 * max(1.0, np.max(np.abs(direct)))
+
+    def test_multipliers_of_a_row_combination_rebuild_it(self):
+        rows = random_unit_rows(np.random.default_rng(47), 3, 5)
+        basis = GutterBasis(5)
+        for k, row in enumerate(rows):
+            basis.append_row(k, row)
+        inverse = basis.gram_inverse
+        y = basis.multipliers(-np.array([2.0, 0.5, -1.0]) @ rows)
+        assert np.allclose(y, [2.0, 0.5, -1.0], atol=1e-12)
+        assert np.array_equal(basis.gram_inverse, inverse)
+
     def test_copy_and_inverse_do_not_alias_the_buffers(self):
         rows = random_unit_rows(np.random.default_rng(46), 5, 5)
         basis = GutterBasis(5)

@@ -230,6 +230,17 @@ class TestEpsilonRegression:
         assert result.verdict in (Verdict.STALLED, Verdict.INFEASIBLE)
 
 
+def _phase2_cycles(events):
+    return sum(e.kind is EventKind.SELECT_TARGET and "artificial" in e.detail for e in events)
+
+
+def _multipliers(lp, rows, c):
+    """-(G G^T)^-1 G c_hat for the given gutter rows, from scratch."""
+    G = lp.A[list(rows)]
+    c_hat = c / np.linalg.norm(c)
+    return -np.linalg.solve(G @ G.T, G @ c_hat)
+
+
 class TestSolveOptimum:
     def test_box_maximum(self):
         lp = make_lp([[-1.0, 0.0], [0.0, -1.0]], [-2.0, -1.0],
@@ -241,6 +252,9 @@ class TestSolveOptimum:
         assert result.objective_value == pytest.approx(3.0, abs=1e-9)
         full = [e for e in events if e.kind is EventKind.GUTTER_FULL]
         assert full and set(full[0].gutter_indices) == {0, 1}
+        # the README's box: the first stall's KKT test ends phase II
+        assert result.diagnostics == ("optimum at gutter-full",)
+        assert len(full) == 1 and _phase2_cycles(events) == 1
 
     def test_one_dimensional_maximum(self):
         lp = make_lp([[-1.0]], [-1.0], objective=Objective(Direction.MAX, np.array([1.0])))
@@ -278,6 +292,66 @@ class TestSolveOptimum:
         result = solve_optimum(lp, CFG)
         assert result.verdict is Verdict.OPTIMAL
         assert result.objective_value == pytest.approx(2.0, abs=1e-8)
+
+
+class TestPhaseTwoStops:
+    """Phase II ends at a KKT vertex or a recession ray, without a confirming cycle."""
+
+    def test_open_quadrant_is_a_recession_ray(self):
+        # max x + y subject to x, y >= 0: the first cycle resolves along (1, 1)
+        lp = make_lp([[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0],
+                     objective=Objective(Direction.MAX, np.array([1.0, 1.0])))
+        events = []
+        result = solve_optimum(lp, CFG, trace=events.append)
+        assert result.verdict is Verdict.UNBOUNDED
+        assert result.diagnostics == ("recession ray",)
+        assert result.point is None
+        assert _phase2_cycles(events) == 1
+        assert EventKind.M_ESCALATION not in kinds(events)
+
+    def test_negative_multiplier_at_first_stall_retries(self):
+        # max y below y <= 1 + x, y <= 1.5 + x / 2 and x <= 5: the walk climbs
+        # y <= 1 + x into its corner with the second row at (1, 2), where the
+        # first row's multiplier is negative; the retry slides along the second
+        # row to the optimum (5, 4)
+        lp = make_lp([[1.0, -1.0], [0.5, -1.0], [-1.0, 0.0]], [-1.0, -1.5, -5.0],
+                     objective=Objective(Direction.MAX, np.array([0.0, 1.0])))
+        events = []
+        result = solve_optimum(lp, CFG, trace=events.append)
+        first = next(e for e in events if e.kind is EventKind.GUTTER_FULL)
+        assert set(first.gutter_indices) == {0, 1}
+        y = _multipliers(lp, first.gutter_indices, lp.objective.coefficients)
+        assert y[list(first.gutter_indices).index(0)] < 0
+        assert result.verdict is Verdict.OPTIMAL
+        assert np.allclose(result.point, [5.0, 4.0], atol=1e-9)
+        assert result.objective_value == pytest.approx(4.0, abs=1e-9)
+        assert _phase2_cycles(events) == 2
+        oracle = testkit.oracle_solve(lp)
+        assert oracle.verdict is Verdict.OPTIMAL
+        assert oracle.value == pytest.approx(result.objective_value, abs=1e-9)
+
+    def test_equality_row_multiplier_is_free(self):
+        # max y on x + y = 2 with x >= 0.5: the optimum (0.5, 1.5) holds the
+        # equality with a negative multiplier, which does not block the stop
+        lp = make_lp([[1.0, 1.0], [1.0, 0.0]], [2.0, 0.5], [Sense.EQ, Sense.GE],
+                     objective=Objective(Direction.MAX, np.array([0.0, 1.0])))
+        events = []
+        result = solve_optimum(lp, CFG, trace=events.append)
+        assert result.verdict is Verdict.OPTIMAL
+        assert np.allclose(result.point, [0.5, 1.5], atol=1e-9)
+        assert _phase2_cycles(events) == 1
+        y = _multipliers(lp, (0, 1), lp.objective.coefficients)
+        assert y[0] < 0 < y[1]
+
+    def test_ray_along_an_equality_row(self):
+        # max x on x + y = 2 with x >= 0: the ray (1, -1) stays on the equality
+        lp = make_lp([[1.0, 1.0], [1.0, 0.0]], [2.0, 0.0], [Sense.EQ, Sense.GE],
+                     objective=Objective(Direction.MAX, np.array([1.0, 0.0])))
+        events = []
+        result = solve_optimum(lp, CFG, trace=events.append)
+        assert result.verdict is Verdict.UNBOUNDED
+        assert result.diagnostics == ("recession ray",)
+        assert EventKind.M_ESCALATION not in kinds(events)
 
 
 class TestTraceInvariants:
