@@ -485,7 +485,7 @@ def render_svg(lp: LinearProgram, trajectory: list[np.ndarray],
         points.append(np.asarray(result.point))
     if not points:
         points = [np.zeros(2)]
-    stack = np.vstack(points)
+    stack = np.stack(points)
     lo = stack.min(axis=0)
     hi = stack.max(axis=0)
     span = float(max(np.max(hi - lo), 1.0))

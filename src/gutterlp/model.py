@@ -149,20 +149,6 @@ class LinearProgram:
                              gt_rows=gt_rows, eq_rows=eq_rows, _normalized=normalized)
 
     @classmethod
-    def _unchecked(cls, A: np.ndarray, b: np.ndarray, senses: tuple, objective: Optional[Objective],
-                   gt_rows: np.ndarray, eq_rows: np.ndarray,
-                   normalized: bool = False) -> "LinearProgram":
-        """Wrap arrays already known to be valid and consistent, without copying them.
-
-        The program holds read-only views, so whoever owns A and b may still
-        update them in place; phase II moves its artificial offset that way.
-        `normalized` marks a program that normalize() returned.
-        """
-        lp = object.__new__(cls)
-        lp._store(A, b, senses, objective, gt_rows, eq_rows, normalized)
-        return lp
-
-    @classmethod
     def from_arrays(cls, normals, offsets, senses=None, objective: Objective | None = None) -> "LinearProgram":
         """Build from a dense row matrix; raises ZeroNormalError with the row index."""
         return cls(normals, offsets, senses, objective)
@@ -196,15 +182,6 @@ class LinearProgram:
             ok[eq] = np.abs(d[eq]) <= feas_tol
         return ok
 
-    def row_satisfied(self, i: int, d_i: float, feas_tol: float) -> bool:
-        """Whether row i meets its sense at signed distance d_i; entry i of satisfied()."""
-        sense = self.senses[i]
-        if sense is Sense.EQ:
-            return abs(d_i) <= feas_tol
-        if sense is Sense.GT:
-            return d_i > feas_tol
-        return d_i >= -feas_tol
-
 
 # A unit row's norm is 1 to within a few units in the last place, so normalize's
 # zero-normal test cannot reject a row of a program it returned below this geom_tol.
@@ -228,8 +205,11 @@ def normalize(lp: LinearProgram, geom_tol: float = 1e-9) -> LinearProgram:
     short = norms <= geom_tol
     if np.logical_or.reduce(short):
         raise ZeroNormalError(int(short.argmax()))
-    return LinearProgram._unchecked(lp.A / norms[:, None], lp.b / norms, lp.senses, lp.objective,
-                                    lp.gt_rows, lp.eq_rows, normalized=True)
+    # the arrays are valid by construction, so the new program wraps them unchecked
+    unit = object.__new__(LinearProgram)
+    unit._store(lp.A / norms[:, None], lp.b / norms, lp.senses, lp.objective, lp.gt_rows,
+                lp.eq_rows, normalized=True)
+    return unit
 
 
 def check_point(lp: LinearProgram, p, feas_tol: float = 1e-8) -> bool:

@@ -132,10 +132,11 @@ def initial_point(lp: LinearProgram, geom_tol: float = 1e-9, feas_tol: float = 1
                   start=None) -> np.ndarray:
     """The solve's start: `start` (the origin when None), projected onto the equality planes.
 
-    A start of the wrong length raises DimensionMismatchError. Dependent but
-    consistent equality rows are dropped from the projection; an equality
-    left unsatisfied by the projection means the equalities are
-    contradictory and InconsistentEqualityError is raised.
+    A start of the wrong length raises DimensionMismatchError, and one with a
+    non-finite coordinate raises ValueError. Dependent but consistent
+    equality rows are dropped from the projection; an equality left
+    unsatisfied by the projection means the equalities are contradictory and
+    InconsistentEqualityError is raised.
     """
     if start is None:
         p = np.zeros(lp.dimension)
@@ -144,6 +145,8 @@ def initial_point(lp: LinearProgram, geom_tol: float = 1e-9, feas_tol: float = 1
         if p.shape[0] != lp.dimension:
             raise DimensionMismatchError(
                 f"start point has length {p.shape[0]}, expected {lp.dimension}")
+        if not np.logical_and.reduce(np.isfinite(p)):
+            raise ValueError("start point must be finite")
     eq_indices = lp.eq_rows.tolist()
     if not eq_indices:
         return p
@@ -174,20 +177,18 @@ def _repin(basis: GutterBasis, lp: LinearProgram, pinned, geom_tol: float) -> Gu
     return basis
 
 
-def _slide_direction(lp: LinearProgram, basis: GutterBasis, d: float,
-                     target: int, geom_tol: float, feas_tol: float,
-                     epsilon: float = 0.0) -> tuple[Optional[np.ndarray], float]:
+def _slide_direction(a: np.ndarray, basis: GutterBasis, d: float, geom_tol: float,
+                     feas_tol: float, epsilon: float = 0.0) -> tuple[Optional[np.ndarray], float]:
     """Movement direction parallel to the gutter that approaches the target plane.
 
     Equivalent to normalizing P3 - P1, where P1 and P3 are the projections of
     the center and of its target-plane foot onto the gutter intersection; the
     second value is |P3 - P1|, whose vanishing signals "no slope on the gutter".
-    d is the target's signed distance at the center, taken from the caller's
-    A p0 - b. A target within feas_tol of its plane (a strict target left on
-    it) has the gap up to the epsilon standoff left to travel instead of the
-    plane distance, the same test resolve_constraint uses for its hit time.
+    a is the target's unit normal and d its signed distance at the center. A
+    target within feas_tol of its plane (a strict target left on it) has the
+    gap up to the epsilon standoff left to travel instead of the plane
+    distance, the same test resolve_constraint uses for its hit time.
     """
-    a = lp.A[target]
     rows = basis.size
     if rows:
         G = basis.normals_matrix()
@@ -216,36 +217,46 @@ def _slide_direction(lp: LinearProgram, basis: GutterBasis, d: float,
 
 def resolve_constraint(lp: LinearProgram, state: SolverState, config: SolverConfig,
                        trace: TraceSink = None, d: Optional[np.ndarray] = None,
-                       satisfied: Optional[np.ndarray] = None) -> ResolveOutcome:
+                       satisfied: Optional[np.ndarray] = None,
+                       target: Optional[tuple[np.ndarray, float, Sense]] = None) -> ResolveOutcome:
     """Drive the ball until the target constraint is satisfied or progress dies.
 
-    Expects unit rows (see normalize), state.target_index violated at
-    state.p0 and state.gutter holding only the pinned equality rows. Mutates
-    state in place and returns how the cycle ended: RESOLVED, GUTTER_FULL,
-    NO_SLOPE (no direction along the gutter approaches the target),
-    INNER_CAP or UNBOUNDED_RAY (no plane stops the ball). After RESOLVED,
-    state.distances holds A p0 - b at the final center. `d`, when given,
-    must be A p0 - b at the current center and `satisfied` its lp.satisfied
-    mask, as the caller's violation check already computed them; the cycle
-    takes the mask over and modifies it.
+    The target is `target=(a, beta, sense)`, the row a . x >= beta (> for
+    Sense.GT) with unit normal a, or, left out, row state.target_index of
+    lp; it is GE or GT, never EQ. Expects unit rows (see normalize), the
+    target violated at state.p0 and state.gutter holding only the pinned
+    equality rows. Mutates state in place and returns how the cycle ended:
+    RESOLVED, GUTTER_FULL, NO_SLOPE (no direction along the gutter
+    approaches the target), INNER_CAP or UNBOUNDED_RAY (no plane stops the
+    ball). After RESOLVED, state.distances holds A p0 - b at the final
+    center. `d`, when given, must be A p0 - b at the current center and
+    `satisfied` its lp.satisfied mask, as the caller's violation check
+    already computed them; the cycle takes the mask over and modifies it.
 
-    The planes that can stop the ball are the rows satisfied when the cycle
-    starts, less the target, the pinned and gutter rows, and rows whose
-    append was degenerate (until the next successful append). A scan finds
-    the first plane hit as the least hit time t, ties going to the lowest
-    index, the target included. For each slide direction the open rows carry
-    -A dir (`live`, -inf when closed), so a scan is t = (A p0 - b) / live.
+    The planes that can stop the ball are lp's rows satisfied when the cycle
+    starts, less the pinned and gutter rows and rows whose append was
+    degenerate (until the next successful append). A scan finds the first
+    plane hit as the least hit time t, ties going to the lowest index. The
+    target ties by its index: a row of lp beats the rows after it, and a
+    given `target`, which events report as index m = lp.num_constraints,
+    beats none. For each slide direction the open rows carry -A dir (`live`,
+    -inf when closed), so a scan is t = (A p0 - b) / live.
 
     A far obstacle moves the center back to its epsilon standoff, where it
     touches the ball, and joins the gutter in the same step, as a near one
     does. With epsilon == 0 the center lands on the far plane, which the
-    next scan drops, so there the backoff ends its step. A p0 - b is
-    recomputed only after the center moved, and A dir and live only after
-    the direction changed.
+    next scan drops, so there the backoff ends its step. A p0 - b and the
+    target's distance are recomputed only after the center moved, and
+    A dir, live and the target's slope only after the direction changed.
     """
-    i = state.target_index
     A, b = lp.A, lp.b
-    n = lp.dimension
+    m, n = A.shape
+    own = target is None
+    i = state.target_index if own else m
+    a, beta, sense = (A[i], b[i], lp.senses[i]) if own else target
+    if sense is Sense.EQ:
+        raise ValueError("the target must be a GE or GT row")
+    strict = sense is Sense.GT
     eps = state.epsilon
     geom_tol = config.geom_tol
     feas_tol = config.feas_tol
@@ -253,11 +264,13 @@ def resolve_constraint(lp: LinearProgram, state: SolverState, config: SolverConf
     if d is None:
         d = A.dot(state.p0) - b
     d_at = state.p0
+    # a row of lp reads its distance and slope from lp's matvecs, which can
+    # differ from a 1-D dot product in the last bit
+    d_i = float(d[i]) if own else float(a.dot(d_at)) - beta
     open_rows = lp.satisfied(d, feas_tol) if satisfied is None else satisfied
-    open_rows[i] = False
     if state.pinned_eq or state.gutter.size:
         open_rows[[*state.pinned_eq, *state.gutter.indices]] = False
-    direction, _ = _slide_direction(lp, state.gutter, float(d[i]), i, geom_tol, feas_tol, eps)
+    direction, _ = _slide_direction(a, state.gutter, d_i, geom_tol, feas_tol, eps)
     if direction is None:
         _emit(trace, state, EventKind.STALL, "no-slope at cycle start", stopped=True)
         return ResolveOutcome.NO_SLOPE
@@ -271,8 +284,8 @@ def resolve_constraint(lp: LinearProgram, state: SolverState, config: SolverConf
             d = A.dot(state.p0)
             d -= b
             d_at = state.p0
-        d_i = float(d[i])
-        if lp.row_satisfied(i, d_i, feas_tol):
+            d_i = float(d[i]) if own else float(a.dot(d_at)) - beta
+        if d_i > feas_tol if strict else d_i >= -feas_tol:
             state.distances = d
             _emit(trace, state, EventKind.RESOLVED, "target={}", i)
             return ResolveOutcome.RESOLVED
@@ -290,7 +303,7 @@ def resolve_constraint(lp: LinearProgram, state: SolverState, config: SolverConf
             scanned_dir = state.dir
             slope = A.dot(scanned_dir)
             live = np.where(open_rows & (np.abs(slope) > geom_tol), -slope, -np.inf)
-            slope_i = float(slope[i])
+            slope_i = float(slope[i]) if own else float(a.dot(scanned_dir))
             target_steep = abs(slope_i) > geom_tol
         # a violated target is hit at its plane; a strict target already on
         # its plane is hit at the epsilon standoff
@@ -300,23 +313,22 @@ def resolve_constraint(lp: LinearProgram, state: SolverState, config: SolverConf
             if not t_i > geom_tol:
                 t_i = np.inf
 
-        # closed rows divide by -inf and give +-0, which the filter drops
+        # closed rows, the target from lp among them, divide by -inf and give
+        # +-0, which the filter drops
         t = d / live
         np.putmask(t, t <= geom_tol, np.inf)
-        t[i] = t_i
         j = int(t.argmin())
         t_first = float(t[j])
-        if t_first == math.inf:
+        if t_i == t_first == math.inf:
             _emit(trace, state, EventKind.STALL, "unbounded-ray")
             return ResolveOutcome.UNBOUNDED_RAY
 
-        if j == i:
+        if t_i < t_first or (t_i == t_first and i < j):
             # the target comes first: land at the epsilon standoff past its plane,
             # stopping early on any open plane crossed on the way
-            t_end = t_first
+            t_end = t_i
             if d_i < -feas_tol and eps > 0:
                 t_end += eps / slope_i
-            t[i] = np.inf
             t_end = min(t_end, np.minimum.reduce(t[slope < 0], initial=np.inf))
             _advance(state, t_end, trace)
             continue
@@ -349,7 +361,8 @@ def resolve_constraint(lp: LinearProgram, state: SolverState, config: SolverConf
             d = A.dot(state.p0)
             d -= b
             d_at = state.p0
-        direction, _ = _slide_direction(lp, state.gutter, float(d[i]), i, geom_tol, feas_tol, eps)
+            d_i = float(d[i]) if own else float(a.dot(d_at)) - beta
+        direction, _ = _slide_direction(a, state.gutter, d_i, geom_tol, feas_tol, eps)
         if direction is None:
             _emit(trace, state, EventKind.GUTTER_APPEND, "plane={}", j, stopped=True)
             _emit(trace, state, EventKind.STALL, "no-slope", stopped=True)
@@ -543,7 +556,9 @@ def solve_optimum(lp: LinearProgram, config: Optional[SolverConfig] = None,
     """Optimize the objective: feasibility first, then drive the objective plane.
 
     The objective is pushed by resolving an artificial constraint
-    c_hat . x >= M, and phase II stops at the first proof:
+    c_hat . x >= M: each cycle passes it to resolve_constraint as the target
+    of the user's own normalized program, never as a row stacked under it,
+    and reports it in events as target m. Phase II stops at the first proof:
     - a stall (GUTTER_FULL or NO_SLOPE) whose gutter vertex, the center
       projected onto the gutter planes, passes check_point and the KKT test
       (c_hat in the gutter's row span, multipliers >= -geom_tol on every row
@@ -577,13 +592,7 @@ def solve_optimum(lp: LinearProgram, config: Optional[SolverConfig] = None,
                        objective_value=float(c.dot(state.p0)))
     c_hat = work_c / norm_c
 
-    m = lp.num_constraints
     big_m = float(c_hat.dot(state.p0) + max(1.0, math.sqrt(state.p0.dot(state.p0))) * BIG_M_GROWTH)
-    # the artificial row c_hat . x >= M is stacked once; each cycle only rewrites its offset
-    offsets = np.concatenate((lp.b, [big_m]))
-    # the artificial row is GE, so the GT and EQ rows keep their indices
-    lp_aug = LinearProgram._unchecked(np.vstack([lp.A, c_hat]), offsets, lp.senses + (Sense.GE,),
-                                      lp.objective, lp.gt_rows, lp.eq_rows)
     escalations = 0
     best_point: Optional[np.ndarray] = None
     best_height = -math.inf
@@ -591,12 +600,10 @@ def solve_optimum(lp: LinearProgram, config: Optional[SolverConfig] = None,
     last_detail = ""
 
     for _ in range(config.outer_cap(lp)):
-        offsets[m] = big_m
-        state.target_index = m
         _repin(state.gutter, lp, state.pinned_eq, config.geom_tol)
-        _emit(trace, state, EventKind.SELECT_TARGET, "target={} artificial M={:.9e}", m, big_m,
-              stopped=True)
-        outcome = resolve_constraint(lp_aug, state, config, trace)
+        _emit(trace, state, EventKind.SELECT_TARGET, "target={} artificial M={:.9e}",
+              lp.num_constraints, big_m, stopped=True)
+        outcome = resolve_constraint(lp, state, config, trace, target=(c_hat, big_m, Sense.GE))
 
         if outcome is ResolveOutcome.RESOLVED:
             if _recession_ray(lp, state.dir, config.geom_tol) and \

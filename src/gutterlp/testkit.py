@@ -89,7 +89,7 @@ def _enumerate_vertices(planes: np.ndarray, rhs: np.ndarray, senses: list[Sense]
             found.append(pts[ok])
     if not found:
         return np.zeros((0, n))
-    return np.vstack(found)
+    return np.concatenate(found)
 
 
 def oracle_solve(lp: LinearProgram, bound: float = 100.0,
@@ -100,8 +100,8 @@ def oracle_solve(lp: LinearProgram, bound: float = 100.0,
     system and kept if feasible. The objective-best vertex wins; if every
     optimal vertex sits on the box and enlarging the box by 10x strictly
     improves the objective, the problem is unbounded. A bound whose tenfold
-    overflows, or whose retry overflows the vertex arithmetic, raises
-    ValueError. Strict (GT) rows are checked strictly, so open regions whose
+    overflows, or whose vertex arithmetic overflows (at this bound or at the
+    retry's), raises ValueError. Strict (GT) rows are checked strictly, so open regions whose
     closures only touch at strict faces can be missed; generated suites
     avoid that case.
     """
@@ -116,11 +116,16 @@ def oracle_solve(lp: LinearProgram, bound: float = 100.0,
     if lp.objective is not None and _allow_escalation and bound * 10.0 == math.inf:
         raise retry_overflows
 
-    planes = np.vstack([lp.A, np.eye(n), -np.eye(n)])
+    planes = np.concatenate([lp.A, np.eye(n), -np.eye(n)])
     rhs = np.concatenate([lp.b, np.full(n, -bound), np.full(n, -bound)])
     senses = list(lp.senses) + [Sense.GE] * (2 * n)
 
-    vertices = _enumerate_vertices(planes, rhs, senses, n)
+    try:
+        with np.errstate(over="raise"):
+            vertices = _enumerate_vertices(planes, rhs, senses, n)
+    except FloatingPointError as exc:
+        raise ValueError(f"bound {bound:g} is too large: the vertex arithmetic "
+                         "overflows") from exc
     if vertices.shape[0] == 0:
         return OracleResult(Verdict.INFEASIBLE)
 
@@ -138,7 +143,7 @@ def oracle_solve(lp: LinearProgram, bound: float = 100.0,
         try:
             with np.errstate(over="raise"):
                 bigger = oracle_solve(lp, bound * 10.0, _allow_escalation=False)
-        except FloatingPointError as exc:
+        except (FloatingPointError, ValueError) as exc:
             raise retry_overflows from exc
         if bigger.verdict in (Verdict.OPTIMAL, Verdict.FEASIBLE) and bigger.value is not None:
             grown = bigger.value if lp.objective.direction is Direction.MAX else -bigger.value
@@ -250,8 +255,9 @@ def check_trace(lp: LinearProgram, events: Sequence[TraceEvent], epsilon: float,
     MOVE events strictly change the center. With epsilon > 0, every
     OBSTACLE_BACKOFF is followed, in the same iteration and before any other
     non-MOVE event, by a GUTTER_APPEND or GUTTER_SKIP_DEGENERATE of the same
-    plane. Constraint indices beyond the program (the artificial objective
-    plane) are ignored.
+    plane. Phase II's target, the objective plane reported as index m, is not
+    a row of the program, so no check applies to it; it never joins the
+    gutter.
     """
     problems: list[str] = []
     m = lp.num_constraints
@@ -279,7 +285,7 @@ def check_trace(lp: LinearProgram, events: Sequence[TraceEvent], epsilon: float,
 
         p0 = np.asarray(ev.p0, dtype=float)
         dir_vec = np.asarray(ev.dir, dtype=float)
-        gutter = [g for g in ev.gutter_indices if g < m]
+        gutter = list(ev.gutter_indices)
 
         if len(ev.gutter_indices) > n:
             problems.append(f"event {k}: gutter has {len(ev.gutter_indices)} rows in dimension {n}")

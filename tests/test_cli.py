@@ -315,6 +315,19 @@ class TestGenOracleBench:
                                 "retried with bound * 10, which overflows\n")
         assert cli.main(["oracle", str(path), "--bound", "1e300"]) == 2
 
+    def test_oracle_bound_whose_vertices_overflow(self, tmp_path, capsys):
+        # without an objective there is no retry, but a box vertex's residual
+        # at 1e308 is already past the float maximum
+        path = tmp_path / "quadrant.lp"
+        path.write_text("vars 2\nc 1 0 >= 0\nc 0 1 >= 0\n")
+        code = cli.main(["oracle", str(path), "--bound", "1e308"])
+        captured = capsys.readouterr()
+        assert code == 65
+        assert captured.out == ""
+        assert captured.err == ("error: bound 1e+308 is too large: the vertex arithmetic "
+                                "overflows\n")
+        assert cli.main(["oracle", str(path), "--bound", "1e300"]) == 0
+
     def test_bench_feasible_batch(self, capsys):
         code = cli.main(["bench", "--feasible", "--seeds", "1..6", "-n", "3",
                          "-m", "6", "--slack", "0.15"])

@@ -14,7 +14,6 @@ from gutterlp.model import (
     check_point,
     normalize,
 )
-from gutterlp import solver, testkit
 from gutterlp.solver import BIG_M_GROWTH, MAX_M_ESCALATIONS
 
 
@@ -116,19 +115,6 @@ class TestCheckPoint:
             check_point(lp, [1.0, 2.0, 3.0])
 
 
-class TestRowSatisfied:
-    @pytest.mark.parametrize("sense", [Sense.GE, Sense.GT, Sense.EQ])
-    def test_agrees_with_the_mask(self, sense):
-        tol = 1e-8
-        distances = np.array([-2 * tol, -tol, 0.0, tol, 2 * tol, SolverConfig().epsilon])
-        lp = make_lp(np.ones((distances.size, 1)), np.zeros(distances.size),
-                     [sense] * distances.size)
-        mask = lp.satisfied(distances, tol)
-        for i, d_i in enumerate(distances):
-            assert lp.row_satisfied(i, d_i, tol) == mask[i], (sense, d_i)
-            assert lp.row_satisfied(i, float(d_i), tol) == mask[i], (sense, d_i)
-
-
 def _three_where_mask(lp, d, tol):
     """The per-sense formula, read from the senses themselves, that `satisfied` must equal."""
     strict = np.array([s is Sense.GT for s in lp.senses])
@@ -163,32 +149,6 @@ class TestSatisfiedBounds:
                                senses))
         d = np.array(_near_tolerance(tol))[rng.integers(0, 10, m)]
         assert lp.satisfied(d, tol).tolist() == _three_where_mask(lp, d, tol).tolist()
-
-    def test_phase_two_stacked_program_keeps_the_per_sense_formula(self, monkeypatch):
-        # phase II resolves an artificial GE row stacked under the program's rows
-        stacked = []
-        resolve = solver.resolve_constraint
-
-        def spy(lp, *args, **kwargs):
-            stacked.append(lp)
-            return resolve(lp, *args, **kwargs)
-
-        monkeypatch.setattr(solver, "resolve_constraint", spy)
-        inst = testkit.gen_feasible(4, 12, 0.1, 1)
-        senses = [Sense.EQ, Sense.GE, Sense.GT] * 4
-        offsets = inst.lp.b.copy()
-        offsets[::3] = inst.lp.A[::3] @ inst.certificate.point
-        lp = make_lp(inst.lp.A, offsets, senses,
-                     Objective(Direction.MAX, np.array([1.0, -2.0, 0.5, 1.0])))
-        solver.solve_optimum(lp)
-        stacked = [p for p in stacked if p.num_constraints == 13]
-        assert stacked and stacked[0].senses == tuple(senses) + (Sense.GE,)
-        rng = np.random.default_rng(0)
-        for tol in (1e-8, 0.5):
-            for _ in range(20):
-                d = np.array(_near_tolerance(tol))[rng.integers(0, 10, 13)]
-                assert stacked[0].satisfied(d, tol).tolist() == \
-                    _three_where_mask(stacked[0], d, tol).tolist()
 
     def test_non_finite_distances(self):
         lp = make_lp(np.ones((3, 1)), np.zeros(3), [Sense.GE, Sense.GT, Sense.EQ])

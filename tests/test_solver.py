@@ -70,6 +70,12 @@ class TestInitialPoint:
         with pytest.raises(DimensionMismatchError, match="start point has length 3"):
             initial_point(lp, start=[0.0, 0.0, 0.0])
 
+    @pytest.mark.parametrize("start", [[np.nan, 0.0], [np.inf, 0.0], [0.0, -np.inf]])
+    def test_non_finite_start_rejected(self, start):
+        lp = make_lp([[1.0, 0.0]], [2.0])
+        with pytest.raises(ValueError, match="start point must be finite"):
+            initial_point(lp, start=start)
+
 
 class TestResolveConstraint:
     def test_single_unobstructed_move(self):
@@ -104,6 +110,56 @@ class TestResolveConstraint:
         assert check_point(lp, result.point, CFG.feas_tol)
         appended = [e for e in events if e.kind is EventKind.GUTTER_APPEND]
         assert [e.gutter_indices for e in appended] == [(1,)]
+
+
+class TestGivenTarget:
+    """resolve_constraint driven by a `target=` row that is not a row of the program."""
+
+    X_GE_2 = (np.array([1.0, 0.0]), 2.0, Sense.GE)
+
+    def resolve(self, lp, p0, target):
+        state = SolverState(p0=np.array(p0), epsilon=0.01, gutter=GutterBasis(2))
+        events = []
+        outcome = resolve_constraint(lp, state, CFG, events.append, target=target)
+        return outcome, state, events
+
+    def test_lands_at_the_standoff_past_the_plane(self):
+        lp = make_lp([[0.0, 1.0]], [-5.0])
+        outcome, state, events = self.resolve(lp, [0.0, 0.0], self.X_GE_2)
+        assert outcome is ResolveOutcome.RESOLVED
+        assert np.allclose(state.p0, [2.01, 0.0])
+        # the target is reported as index m, one past the program's rows
+        assert events[-1].kind is EventKind.RESOLVED and events[-1].detail == "target=1"
+        assert np.array_equal(state.distances, lp.A @ state.p0 - lp.b)
+
+    def test_tie_with_an_obstacle_goes_to_the_obstacle(self):
+        # x <= 1 and the target x >= 1 are both reached at t = 1 from the origin
+        obstacle = make_lp([[-1.0, 0.0]], [-1.0])
+        outcome, state, events = self.resolve(obstacle, [0.0, 0.0],
+                                              (np.array([1.0, 0.0]), 1.0, Sense.GE))
+        assert outcome is ResolveOutcome.NO_SLOPE
+        assert state.gutter.indices == (0,)
+        assert (EventKind.OBSTACLE_BACKOFF, "obstacle=0") in [(e.kind, e.detail) for e in events]
+        # the same target as row 0 of the program beats the obstacle, now row 1
+        lp = make_lp([[1.0, 0.0], [-1.0, 0.0]], [1.0, -1.0])
+        state = SolverState(p0=np.zeros(2), epsilon=0.01, gutter=GutterBasis(2), target_index=0)
+        assert resolve_constraint(lp, state, CFG) is ResolveOutcome.RESOLVED
+        assert state.gutter.size == 0 and np.array_equal(state.p0, [1.0, 0.0])
+
+    def test_strict_target_on_its_plane_moves_to_the_standoff(self):
+        lp = make_lp([[0.0, 1.0]], [-5.0])
+        outcome, state, _ = self.resolve(lp, [2.0, 0.0], (np.array([1.0, 0.0]), 2.0, Sense.GT))
+        assert outcome is ResolveOutcome.RESOLVED
+        assert np.allclose(state.p0, [2.01, 0.0])
+        # a GE target on its plane is already met
+        outcome, state, events = self.resolve(lp, [2.0, 0.0], self.X_GE_2)
+        assert outcome is ResolveOutcome.RESOLVED
+        assert np.array_equal(state.p0, [2.0, 0.0]) and kinds(events) == [EventKind.RESOLVED]
+
+    def test_equality_target_rejected(self):
+        lp = make_lp([[0.0, 1.0]], [-5.0])
+        with pytest.raises(ValueError, match="GE or GT"):
+            self.resolve(lp, [0.0, 0.0], (np.array([1.0, 0.0]), 2.0, Sense.EQ))
 
 
 class TestSolveFeasibility:
@@ -150,6 +206,12 @@ class TestSolveFeasibility:
         result = solve_feasibility(lp, CFG, start=np.array([0.0, 4.0]))
         assert result.verdict is Verdict.FEASIBLE
         assert abs(lp.A[0] @ result.point - lp.b[0]) <= 1e-8
+
+    @pytest.mark.parametrize("start", [[np.nan, 0.0], [np.inf, 0.0]])
+    def test_non_finite_start_rejected(self, start):
+        lp = make_lp([[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0])
+        with pytest.raises(ValueError, match="start point must be finite"):
+            solve_feasibility(lp, CFG, start=start)
 
     def test_strict_constraints_resolved_strictly(self):
         lp = make_lp([[1.0], [-1.0]], [0.0, -1.0], [Sense.GT, Sense.GT])
@@ -285,6 +347,13 @@ class TestSolveOptimum:
         lp = make_lp([[1.0]], [0.0])
         with pytest.raises(ValueError):
             solve_optimum(lp, CFG)
+
+    @pytest.mark.parametrize("start", [[np.nan, 0.0], [np.inf, 0.0]])
+    def test_non_finite_start_rejected(self, start):
+        lp = make_lp([[-1.0, 0.0], [0.0, -1.0]], [-2.0, -1.0],
+                     objective=Objective(Direction.MAX, np.array([1.0, 1.0])))
+        with pytest.raises(ValueError, match="start point must be finite"):
+            solve_optimum(lp, CFG, start=start)
 
     def test_objective_constant_on_equality_flat(self):
         lp = make_lp([[1.0, 0.0], [0.0, -1.0]], [2.0, -5.0], [Sense.EQ, Sense.GE],
