@@ -1,9 +1,10 @@
 """Optimum search demo: push the objective plane until the gutter locks.
 
 Maximize x + y inside the box x <= 2, y <= 1. The solver first finds any
-feasible point, then resolves an artificial constraint that demands an
-unreachable objective value; the planes it gets stuck on identify the optimal
-vertex, and projecting onto them removes the epsilon slack exactly.
+feasible point, then walks up the objective as if resolving the artificial
+constraint c_hat . x >= +inf, which no point meets; the planes it gets stuck
+on identify the optimal vertex, their multipliers prove it optimal, and
+projecting onto them removes the epsilon slack exactly.
 """
 import numpy as np
 

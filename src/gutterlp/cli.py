@@ -381,9 +381,13 @@ def run_oracle(args) -> int:
 
 
 def _parse_seed_range(spec: str) -> list[int]:
+    """The seeds of "N" or "A..B"; ValueError when malformed or when B < A."""
     if ".." in spec:
         lo, hi = spec.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
+        seeds = list(range(int(lo), int(hi) + 1))
+        if not seeds:
+            raise ValueError("empty seed range")
+        return seeds
     return [int(spec)]
 
 

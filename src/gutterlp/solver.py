@@ -52,7 +52,6 @@ class EventKind(Enum):
     EQUALITY_SWITCH = "EQUALITY_SWITCH"
     STALL = "STALL"
     GUTTER_FULL = "GUTTER_FULL"
-    M_ESCALATION = "M_ESCALATION"
 
 
 @dataclass(frozen=True)
@@ -68,11 +67,6 @@ class TraceEvent:
 
 
 TraceSink = Optional[Callable[[TraceEvent], None]]
-
-# phase II raises the artificial objective bound M by this factor after each
-# resolved cycle, and calls the program unbounded after this many raises
-BIG_M_GROWTH = 8.0
-MAX_M_ESCALATIONS = 6
 
 
 class InconsistentEqualityError(Exception):
@@ -223,12 +217,13 @@ def resolve_constraint(lp: LinearProgram, state: SolverState, config: SolverConf
 
     The target is `target=(a, beta, sense)`, the row a . x >= beta (> for
     Sense.GT) with unit normal a, or, left out, row state.target_index of
-    lp; it is GE or GT, never EQ. Expects unit rows (see normalize), the
-    target violated at state.p0 and state.gutter holding only the pinned
-    equality rows. Mutates state in place and returns how the cycle ended:
-    RESOLVED, GUTTER_FULL, NO_SLOPE (no direction along the gutter
-    approaches the target), INNER_CAP or UNBOUNDED_RAY (no plane stops the
-    ball). After RESOLVED, state.distances holds A p0 - b at the final
+    lp; it is GE or GT, never EQ. A given beta may be +inf: the target is
+    then never hit, and the cycle never resolves. Expects unit rows (see
+    normalize), the target violated at state.p0 and state.gutter holding only
+    the pinned equality rows. Mutates state in place and returns how the
+    cycle ended: RESOLVED, GUTTER_FULL, NO_SLOPE (no direction along the
+    gutter approaches the target), INNER_CAP or UNBOUNDED_RAY (no plane stops
+    the ball). After RESOLVED, state.distances holds A p0 - b at the final
     center. `d`, when given, must be A p0 - b at the current center and
     `satisfied` its lp.satisfied mask, as the caller's violation check
     already computed them; the cycle takes the mask over and modifies it.
@@ -555,23 +550,24 @@ def solve_optimum(lp: LinearProgram, config: Optional[SolverConfig] = None,
                   start=None, trace: TraceSink = None) -> SolveResult:
     """Optimize the objective: feasibility first, then drive the objective plane.
 
-    The objective is pushed by resolving an artificial constraint
-    c_hat . x >= M: each cycle passes it to resolve_constraint as the target
-    of the user's own normalized program, never as a row stacked under it,
-    and reports it in events as target m. Phase II stops at the first proof:
+    The objective is pushed by resolving the artificial constraint
+    c_hat . x >= +inf: each cycle passes it to resolve_constraint as the
+    target of the user's own normalized program, never as a row stacked under
+    it, and reports it in events as target m. No point meets that target, so
+    a cycle never resolves; it walks up the objective along the gutter until
+    it stalls or no plane stops it. Phase II stops at the first proof:
     - a stall (GUTTER_FULL or NO_SLOPE) whose gutter vertex, the center
       projected onto the gutter planes, passes check_point and the KKT test
       (c_hat in the gutter's row span, multipliers >= -geom_tol on every row
       that is not an equality) returns that vertex as OPTIMAL;
-    - a resolved cycle whose center passes check_point and whose last slide
-      direction is a recession ray (no inequality row has A dir < -geom_tol,
-      every equality row has |A dir| <= geom_tol) returns UNBOUNDED with the
-      diagnostic "recession ray".
-    Without a proof the big-M fallback runs. A resolved cycle raises M by
-    BIG_M_GROWTH, and after MAX_M_ESCALATIONS raises the program is called
-    unbounded. An unproven stall keeps its feasible gutter vertex as a
-    candidate and retries from the center with a fresh gutter; a stall that
-    repeats without objective progress ends the search with the best one.
+    - a cycle that no plane stops (UNBOUNDED_RAY) returns UNBOUNDED, with the
+      diagnostic "recession ray" when its center passes check_point and its
+      last slide direction is a recession ray (no inequality row has
+      A dir < -geom_tol, every equality row has |A dir| <= geom_tol), and
+      "no plane stops the objective walk" otherwise.
+    An unproven stall keeps its feasible gutter vertex as a candidate and
+    retries from the center with a fresh gutter; a stall that repeats without
+    objective progress ends the search with the best one.
     """
     if lp.objective is None:
         raise ValueError("solve_optimum requires an objective")
@@ -592,8 +588,6 @@ def solve_optimum(lp: LinearProgram, config: Optional[SolverConfig] = None,
                        objective_value=float(c.dot(state.p0)))
     c_hat = work_c / norm_c
 
-    big_m = float(c_hat.dot(state.p0) + max(1.0, math.sqrt(state.p0.dot(state.p0))) * BIG_M_GROWTH)
-    escalations = 0
     best_point: Optional[np.ndarray] = None
     best_height = -math.inf
     last_stall_height: Optional[float] = None
@@ -601,28 +595,22 @@ def solve_optimum(lp: LinearProgram, config: Optional[SolverConfig] = None,
 
     for _ in range(config.outer_cap(lp)):
         _repin(state.gutter, lp, state.pinned_eq, config.geom_tol)
-        _emit(trace, state, EventKind.SELECT_TARGET, "target={} artificial M={:.9e}",
-              lp.num_constraints, big_m, stopped=True)
-        outcome = resolve_constraint(lp, state, config, trace, target=(c_hat, big_m, Sense.GE))
+        _emit(trace, state, EventKind.SELECT_TARGET, "target={} artificial",
+              lp.num_constraints, stopped=True)
+        outcome = resolve_constraint(lp, state, config, trace, target=(c_hat, math.inf, Sense.GE))
 
-        if outcome is ResolveOutcome.RESOLVED:
+        if outcome is ResolveOutcome.UNBOUNDED_RAY:
             if _recession_ray(lp, state.dir, config.geom_tol) and \
                     check_point(lp, state.p0, config.feas_tol):
                 diagnostics.append("recession ray")
-                return _result(Verdict.UNBOUNDED, state, diagnostics)
-            if escalations >= MAX_M_ESCALATIONS:
-                diagnostics.append("objective still improving after all M escalations")
-                return _result(Verdict.UNBOUNDED, state, diagnostics)
-            escalations += 1
-            big_m *= BIG_M_GROWTH
-            last_stall_height = None
-            _emit(trace, state, EventKind.M_ESCALATION, "M={:.9e}", big_m, stopped=True)
-            continue
+            else:
+                diagnostics.append("no plane stops the objective walk")
+            return _result(Verdict.UNBOUNDED, state, diagnostics)
 
-        # stalled or full gutter: take the gutter intersection as an optimum
-        # candidate, proven when its multipliers say so; otherwise retry from
-        # here with a fresh gutter, and a stall that repeats without objective
-        # progress is the stopping condition
+        # a stall, a full gutter or the inner cap: take the gutter intersection
+        # as an optimum candidate, proven when its multipliers say so; otherwise
+        # retry from here with a fresh gutter, and a stall that repeats without
+        # objective progress is the stopping condition
         last_detail = outcome.value
         optimum = project_onto_intersection(state.gutter, state.p0, np.zeros(state.gutter.size))
         if check_point(lp, optimum, config.feas_tol):

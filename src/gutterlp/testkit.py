@@ -100,10 +100,10 @@ def oracle_solve(lp: LinearProgram, bound: float = 100.0,
     system and kept if feasible. The objective-best vertex wins; if every
     optimal vertex sits on the box and enlarging the box by 10x strictly
     improves the objective, the problem is unbounded. A bound whose tenfold
-    overflows, or whose vertex arithmetic overflows (at this bound or at the
-    retry's), raises ValueError. Strict (GT) rows are checked strictly, so open regions whose
-    closures only touch at strict faces can be missed; generated suites
-    avoid that case.
+    overflows, or whose vertex arithmetic or objective scores overflow (at
+    this bound or at the retry's), raises ValueError. Strict (GT) rows are
+    checked strictly, so open regions whose closures only touch at strict
+    faces can be missed; generated suites avoid that case.
     """
     n = lp.dimension
     m = lp.num_constraints
@@ -120,21 +120,23 @@ def oracle_solve(lp: LinearProgram, bound: float = 100.0,
     rhs = np.concatenate([lp.b, np.full(n, -bound), np.full(n, -bound)])
     senses = list(lp.senses) + [Sense.GE] * (2 * n)
 
+    work_c = None
+    if lp.objective is not None:
+        c = lp.objective.coefficients
+        work_c = c if lp.objective.direction is Direction.MAX else -c
     try:
         with np.errstate(over="raise"):
             vertices = _enumerate_vertices(planes, rhs, senses, n)
+            scores = None if work_c is None else vertices @ work_c
     except FloatingPointError as exc:
         raise ValueError(f"bound {bound:g} is too large: the vertex arithmetic "
                          "overflows") from exc
     if vertices.shape[0] == 0:
         return OracleResult(Verdict.INFEASIBLE)
 
-    if lp.objective is None:
+    if scores is None:
         return OracleResult(Verdict.FEASIBLE, point=vertices[0].copy())
 
-    c = lp.objective.coefficients
-    work_c = c if lp.objective.direction is Direction.MAX else -c
-    scores = vertices @ work_c
     best = float(np.max(scores))
     optimal = vertices[scores >= best - 1e-9 * (1.0 + abs(best))]
     on_box = np.any(np.abs(optimal) >= bound - 1e-6, axis=1)
@@ -203,8 +205,8 @@ def gen_feasible(n: int, m: int, slack: float, seed: int,
     certificate point satisfies every constraint by construction."""
     if n < 1 or m < 1:
         raise ValueError("n and m must be positive")
-    if slack <= 0:
-        raise ValueError("slack must be positive")
+    if not 0 < slack < math.inf:
+        raise ValueError("slack must be positive and finite")
     rng = np.random.default_rng(seed)
     normals = _unit_rows(rng, m, n)
     z = rng.uniform(-1.0, 1.0, n)

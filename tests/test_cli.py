@@ -274,6 +274,14 @@ class TestGenOracleBench:
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("slack", ["nan", "inf", "0"])
+    def test_gen_bad_slack_is_a_usage_error_and_writes_nothing(self, tmp_path, capsys, slack):
+        code = cli.main(["gen", "--feasible", "--slack", slack, "-o", str(tmp_path / "x.lp")])
+        captured = capsys.readouterr()
+        assert code == 64
+        assert captured.err == "error: slack must be positive and finite\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_gen_bad_size_is_a_usage_error_and_writes_nothing(self, tmp_path, capsys):
         code = cli.main(["gen", "--infeasible", "-m", "1", "-o", str(tmp_path / "x.lp")])
         captured = capsys.readouterr()
@@ -328,6 +336,19 @@ class TestGenOracleBench:
                                 "overflows\n")
         assert cli.main(["oracle", str(path), "--bound", "1e300"]) == 0
 
+    def test_oracle_bound_whose_scores_overflow(self, tmp_path, capsys):
+        # the box vertex (1e306, 1e306) is representable, but its objective
+        # score 2e309 is not
+        path = tmp_path / "corner.lp"
+        path.write_text("vars 2\nobjective min 1000 1000\nc 1 0 >= 0\nc 0 1 >= 0\n")
+        code = cli.main(["oracle", str(path), "--bound", "1e306"])
+        captured = capsys.readouterr()
+        assert code == 65
+        assert captured.out == ""
+        assert captured.err == ("error: bound 1e+306 is too large: the vertex arithmetic "
+                                "overflows\n")
+        assert cli.main(["oracle", str(path), "--bound", "1e300"]) == 0
+
     def test_bench_feasible_batch(self, capsys):
         code = cli.main(["bench", "--feasible", "--seeds", "1..6", "-n", "3",
                          "-m", "6", "--slack", "0.15"])
@@ -363,6 +384,14 @@ class TestGenOracleBench:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("seeds", ["5..1", "x", "1..y"])
+    def test_bench_bad_seeds_are_usage_errors(self, capsys, seeds):
+        code = cli.main(["bench", "--feasible", "--seeds", seeds])
+        captured = capsys.readouterr()
+        assert code == 64
+        assert captured.out == ""
+        assert captured.err == f"error: bad --seeds value {seeds!r}\n"
 
     @pytest.mark.parametrize("epsilon", ["-1", "nan", "inf"])
     def test_bench_bad_epsilon_is_a_usage_error(self, capsys, epsilon):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -160,6 +162,21 @@ class TestGivenTarget:
         lp = make_lp([[0.0, 1.0]], [-5.0])
         with pytest.raises(ValueError, match="GE or GT"):
             self.resolve(lp, [0.0, 0.0], (np.array([1.0, 0.0]), 2.0, Sense.EQ))
+
+    def test_target_at_infinity_never_resolves(self):
+        # phase II's target: the walk up (1, 1) ends in the box's corner, and
+        # on the open quadrant nothing stops it
+        up = (np.array([1.0, 1.0]) / math.sqrt(2.0), math.inf, Sense.GE)
+        box = make_lp([[-1.0, 0.0], [0.0, -1.0]], [-1.0, -1.0])
+        outcome, state, events = self.resolve(box, [0.0, 0.0], up)
+        assert outcome is ResolveOutcome.GUTTER_FULL
+        assert set(state.gutter.indices) == {0, 1}
+        assert np.allclose(state.p0, [0.99, 0.99])
+        quadrant = make_lp([[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0])
+        outcome, state, events_q = self.resolve(quadrant, [0.0, 0.0], up)
+        assert outcome is ResolveOutcome.UNBOUNDED_RAY
+        assert state.gutter.size == 0 and np.allclose(state.dir, up[0])
+        assert EventKind.RESOLVED not in kinds(events) + kinds(events_q)
 
 
 class TestSolveFeasibility:
@@ -367,7 +384,7 @@ class TestPhaseTwoStops:
     """Phase II ends at a KKT vertex or a recession ray, without a confirming cycle."""
 
     def test_open_quadrant_is_a_recession_ray(self):
-        # max x + y subject to x, y >= 0: the first cycle resolves along (1, 1)
+        # max x + y subject to x, y >= 0: no plane stops the first cycle's walk along (1, 1)
         lp = make_lp([[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0],
                      objective=Objective(Direction.MAX, np.array([1.0, 1.0])))
         events = []
@@ -376,7 +393,6 @@ class TestPhaseTwoStops:
         assert result.diagnostics == ("recession ray",)
         assert result.point is None
         assert _phase2_cycles(events) == 1
-        assert EventKind.M_ESCALATION not in kinds(events)
 
     def test_negative_multiplier_at_first_stall_retries(self):
         # max y below y <= 1 + x, y <= 1.5 + x / 2 and x <= 5: the walk climbs
@@ -420,7 +436,25 @@ class TestPhaseTwoStops:
         result = solve_optimum(lp, CFG, trace=events.append)
         assert result.verdict is Verdict.UNBOUNDED
         assert result.diagnostics == ("recession ray",)
-        assert EventKind.M_ESCALATION not in kinds(events)
+        assert _phase2_cycles(events) == 1
+
+    def test_unstopped_walk_without_a_proof_is_unbounded(self):
+        # a tiny-text program: phase I ends on row 3's plane, and phase II's
+        # scan drops that row (its hit time is 0) and walks through it, so no
+        # plane stops the walk but the end is no recession ray
+        seed, n = 1912383804, 3
+        gen = testkit.gen_feasible(n, 8, 0.1, seed)
+        rng = np.random.default_rng((seed, n, 0x0B))
+        c = rng.standard_normal(n)
+        direction = Direction.MAX if rng.random() < 0.5 else Direction.MIN
+        lp = LinearProgram.from_arrays(gen.lp.A, gen.lp.b, objective=Objective(direction, c))
+        events = []
+        result = solve_optimum(lp, CFG, trace=events.append)
+        assert result.verdict is Verdict.UNBOUNDED
+        assert result.diagnostics == ("no plane stops the objective walk",)
+        assert _phase2_cycles(events) == 1
+        assert events[-1].kind is EventKind.STALL and events[-1].detail == "unbounded-ray"
+        assert testkit.oracle_solve(lp).verdict is Verdict.UNBOUNDED
 
 
 class TestTraceInvariants:

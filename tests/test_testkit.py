@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -115,6 +116,11 @@ class TestGenerators:
         assert isinstance(cert, testkit.FeasibleInterior)
         assert check_point(inst.lp, cert.point, 1e-12)
         assert np.min(inst.lp.A @ cert.point - inst.lp.b) >= cert.slack - 1e-12
+
+    @pytest.mark.parametrize("slack", [0.0, -0.1, math.nan, math.inf])
+    def test_slack_must_be_positive_and_finite(self, slack):
+        with pytest.raises(ValueError, match="slack must be positive and finite"):
+            testkit.gen_feasible(2, 3, slack, 7)
 
     def test_forced_origin_interior(self):
         inst = testkit.gen_feasible(3, 5, 1.0, 11, interior=np.zeros(3))
