@@ -15,6 +15,12 @@ diagnostics of both solves, and every trace event (iteration, kind, center,
 direction, gutter and detail, MOVE included). Two source trees give the same
 line for a pool only when they compute the same results bit for bit.
 
+Next to each pool's line, a `<pool>/outcomes` line hashes behaviour only: the
+verdict, iteration count and diagnostics of both solves, and the iteration,
+kind and gutter of every trace event except MOVE, the notion of behaviour that
+`tests/test_equivalence.py` fixes. A rewrite that moves only the last bits of
+points keeps every outcomes line while its bit-level lines move.
+
 The `tiny-text/arrays` pool solves the tiny-text instances again, built from
 their arrays with `workloads.build_lp` instead of parsed from LP text; a parsed
 program is normalized once, like an array-built one, so both lines must be
@@ -46,6 +52,14 @@ def _result_record(result) -> str:
 def _event_record(event) -> str:
     return repr((event.iteration, event.kind.name, event.p0, event.dir,
                  event.gutter_indices, event.detail))
+
+
+def _outcome_record(result) -> str:
+    return repr((result.verdict.name, result.iterations, result.diagnostics))
+
+
+def _step_record(event) -> str:
+    return repr((event.iteration, event.kind.name, event.gutter_indices))
 
 
 def _sense_grid(seed: int):
@@ -92,23 +106,29 @@ def _workload_pool(name: str, seed: int, arrays: bool = False):
             solve_feasibility
 
 
-def digest(instances) -> tuple[str, int, list[str]]:
-    """(sha256, instance count, labels of traced solves that differed) over a pool."""
+def digest(instances) -> tuple[str, str, int, list[str]]:
+    """(sha256, outcomes sha256, instance count, labels of traced solves that differed) over a pool."""
     h = hashlib.sha256()
+    outcomes = hashlib.sha256()
     count = 0
     mismatched = []
     for label, lp, solve in instances:
-        untraced = _result_record(solve(lp))
+        untraced = solve(lp)
         events = []
-        traced = _result_record(solve(lp, trace=events.append))
-        if traced != untraced:
+        traced = solve(lp, trace=events.append)
+        untraced_record, traced_record = _result_record(untraced), _result_record(traced)
+        if traced_record != untraced_record:
             mismatched.append(f"{label} #{count}")
-        h.update(untraced.encode())
-        h.update(traced.encode())
+        h.update(untraced_record.encode())
+        h.update(traced_record.encode())
+        outcomes.update(_outcome_record(untraced).encode())
+        outcomes.update(_outcome_record(traced).encode())
         for event in events:
             h.update(_event_record(event).encode())
+            if event.kind.name != "MOVE":
+                outcomes.update(_step_record(event).encode())
         count += 1
-    return h.hexdigest(), count, mismatched
+    return h.hexdigest(), outcomes.hexdigest(), count, mismatched
 
 
 def main(argv=None) -> int:
@@ -127,9 +147,11 @@ def main(argv=None) -> int:
         pools.append(("senses", _sense_grid(seed)))
         shas = {}
         for name, instances in pools:
-            sha, count, mismatched = digest(instances)
+            sha, outcomes, count, mismatched = digest(instances)
             shas[name] = sha
-            print(f"{name:<16} seed {seed:<6} {count:>5} instances  {sha}", flush=True)
+            print(f"{name:<26} seed {seed:<6} {count:>5} instances  {sha}")
+            print(f"{name + '/outcomes':<26} seed {seed:<6} {count:>5} instances  {outcomes}",
+                  flush=True)
             for label in mismatched:
                 print(f"MISMATCH {name} seed {seed}: traced result differs at {label}")
                 failed = True

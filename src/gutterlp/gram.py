@@ -1,19 +1,26 @@
-"""Active-plane basis with an incrementally maintained inverse of G G^T.
+"""Active-plane basis held as orthonormal rows: G = R Q, with R^-1 kept up to date.
 
 Rows only ever get appended within a resolve cycle, and the solver holds one
-basis per solve and reset()s it at the start of every cycle. The inverse is
-therefore extended one border at a time: the new row/column of G G^T consists
-of dot products against existing rows, and eliminating just that border (a
-Schur-complement pivot) updates the inverse in O(t^2) instead of re-inverting
-from scratch.
+basis per solve and reset()s it at the start of every cycle. An append is one
+Gram-Schmidt step: the new unit row a is projected off the orthonormal rows Q
+already held, and what is left, normalized, becomes the next row of Q. Its
+coefficients against Q extend the lower-triangular R (G = R Q) by a row, and
+R^-1 by the matching row, in O(t n + t^2). A second projection pass runs only
+when the first one cancelled more than half of |a|^2; two passes leave Q
+orthonormal to rounding level ("twice is enough": Giraud, Langou & Rozlozník
+2005). R itself is never read, so it is not stored.
 
-Rows, offsets and the inverse live in buffers allocated once per basis (n x n,
-n and n x n); the first `size` rows, and the leading size x size block of the
-inverse, are the live part. An append writes the new row and updates the
-inverse block in place instead of building a new inverse, and a reset keeps
-the buffers for the next cycle.
-The inverse stays exactly symmetric, because both halves of every update are
-computed from the same products.
+Every product the solver needs comes from Q and R^-1 without forming G G^T,
+whose condition number is that of G squared:
+- tangent(v) = v - Q^T (Q v), the part of v parallel to every plane;
+- correction(r) = G^T (G G^T)^-1 r = Q^T (R^-1 r);
+- multipliers(a) = -(G G^T)^-1 G a = -R^-T (Q a).
+
+Rows, offsets, Q and R^-1 live in buffers allocated once per basis (n x n, n,
+n x n and n x n); the first `size` rows, and the leading size x size block of
+R^-1, are the live part. An append writes one row of each, and a reset keeps
+the buffers for the next cycle. R^-1 is written only on and below its
+diagonal, so its upper triangle stays zero.
 """
 from __future__ import annotations
 
@@ -29,22 +36,23 @@ class DuplicateIndexError(ValueError):
 
 
 class GutterBasis:
-    """Ordered unit rows (constraint index, normal, plane offset) plus (G G^T)^-1.
+    """Ordered unit rows (constraint index, normal, plane offset) with an orthonormal basis of their span.
 
     normals_matrix() and offsets_vector() are read-only views of the first
     `size` rows of the buffers, valid until the next reset(); gram_inverse
-    is a copy.
+    is a new array.
     """
 
     def __init__(self, dimension: int):
         self.dimension = int(dimension)
         self._indices: list[int] = []
-        self._use(np.zeros((self.dimension, self.dimension)), np.zeros(self.dimension),
-                  np.zeros((self.dimension, self.dimension)))
+        n = self.dimension
+        self._use(np.zeros((n, n)), np.zeros(n), np.zeros((n, n)), np.zeros((n, n)))
 
-    def _use(self, normals: np.ndarray, offsets: np.ndarray, inverse: np.ndarray) -> None:
-        """Take the buffers, with one read-only view of each that the accessors slice."""
-        self._normals, self._offsets, self._inverse = normals, offsets, inverse
+    def _use(self, normals: np.ndarray, offsets: np.ndarray, q: np.ndarray,
+             r_inv: np.ndarray) -> None:
+        """Take the buffers, with one read-only view of the rows and offsets that the accessors slice."""
+        self._normals, self._offsets, self._q, self._r_inv = normals, offsets, q, r_inv
         self._normals_view, self._offsets_view = normals.view(), offsets.view()
         self._normals_view.setflags(write=False)
         self._offsets_view.setflags(write=False)
@@ -59,8 +67,11 @@ class GutterBasis:
 
     @property
     def gram_inverse(self) -> np.ndarray:
-        t = self.size
-        return self._inverse[:t, :t].copy()
+        """(G G^T)^-1 = R^-T R^-1, exactly symmetric."""
+        t = len(self._indices)
+        r_inv = self._r_inv[:t, :t]
+        inverse = r_inv.T.dot(r_inv)
+        return 0.5 * (inverse + inverse.T)
 
     def normals_matrix(self) -> np.ndarray:
         return self._normals_view[:len(self._indices)]
@@ -69,11 +80,14 @@ class GutterBasis:
         return self._offsets_view[:len(self._indices)]
 
     def append_row(self, index: int, normal, offset: float = 0.0, geom_tol: float = 1e-9) -> bool:
-        """Append one unit row, extending the inverse by its border.
+        """Append one unit row: one Gram-Schmidt step, a second only after cancellation.
 
-        Returns False (leaving the basis unchanged) when the Schur pivot is
+        Returns False (leaving the basis unchanged) when the squared residual
+        of the normal against the span of the rows, pi = |a - Q^T Q a|^2, is
         at most geom_tol, i.e. the new normal is linearly dependent on the
-        existing rows. That is a signal for the caller, not an error.
+        existing rows. In exact arithmetic pi is the Schur pivot
+        |a|^2 - w^T (G G^T)^-1 w of G G^T bordered by w = G a. A dependent
+        row is a signal for the caller, not an error.
         """
         index = int(index)
         if index in self._indices:
@@ -90,31 +104,47 @@ class GutterBasis:
         if t == self.dimension:
             return False
 
-        inv = self._inverse
         if t == 0:
-            if norm2 <= geom_tol:
-                return False
-            inv[0, 0] = 1.0 / norm2
+            u, w, pi = a, None, norm2
         else:
-            w = self._normals[:t].dot(a)
-            block = inv[:t, :t]
-            r = block.dot(w)
-            pivot = norm2 - float(w.dot(r))
-            if pivot <= geom_tol:
-                return False
-            block += r[:, None] * r / pivot
-            border = r / -pivot
-            inv[:t, t] = border
-            inv[t, :t] = border
-            inv[t, t] = 1.0 / pivot
+            q = self._q[:t]
+            w = q.dot(a)
+            u = a - w.dot(q)
+            pi = float(u.dot(u))
+            if pi < 0.5 * norm2:
+                w2 = q.dot(u)
+                u -= w2.dot(q)
+                w += w2
+                pi = float(u.dot(u))
+        if pi <= geom_tol:
+            return False
+        rho = math.sqrt(pi)
+        np.divide(u, rho, out=self._q[t])
+        r_inv = self._r_inv
+        if t:
+            r_inv[t, :t] = w.dot(r_inv[:t, :t]) / -rho
+        r_inv[t, t] = 1.0 / rho
 
         self._indices.append(index)
         self._normals[t] = a
         self._offsets[t] = float(offset)
         return True
 
+    def tangent(self, v) -> np.ndarray:
+        """v - Q^T (Q v): the part of v parallel to every plane of the basis; a copy of v when empty."""
+        v = np.asarray(v, dtype=float).reshape(-1)
+        if v.shape[0] != self.dimension:
+            raise DimensionMismatchError(
+                f"vector has length {v.shape[0]}, expected {self.dimension}"
+            )
+        t = len(self._indices)
+        if t == 0:
+            return v.copy()
+        q = self._q[:t]
+        return v - q.dot(v).dot(q)
+
     def correction(self, residuals) -> np.ndarray:
-        """G^T (G G^T)^-1 residuals; the zero vector for an empty basis."""
+        """G^T (G G^T)^-1 residuals = Q^T R^-1 residuals; the zero vector for an empty basis."""
         r = np.asarray(residuals, dtype=float).reshape(-1)
         t = len(self._indices)
         if r.shape[0] != t:
@@ -123,17 +153,17 @@ class GutterBasis:
             )
         if t == 0:
             return np.zeros(self.dimension)
-        return self._normals[:t].T.dot(self._inverse[:t, :t].dot(r))
+        return self._r_inv[:t, :t].dot(r).dot(self._q[:t])
 
     def multipliers(self, a) -> np.ndarray:
-        """-(G G^T)^-1 G a: the weights y with G^T y nearest to -a; empty for an empty basis.
+        """-R^-T Q a = -(G G^T)^-1 G a: the weights y with G^T y nearest to -a; empty for an empty basis.
 
         When a lies in the row span, a + G^T y = 0. With a the objective
         direction of a maximization over rows G x >= h, y >= 0 is the KKT
         condition that makes the gutter vertex optimal.
         """
         t = len(self._indices)
-        return -self._inverse[:t, :t].dot(self._normals[:t].dot(a))
+        return -self._q[:t].dot(a).dot(self._r_inv[:t, :t])
 
     def reset(self) -> None:
         """Empty the basis; the buffers are kept for the next rows."""
@@ -142,5 +172,5 @@ class GutterBasis:
     def copy(self) -> "GutterBasis":
         dup = GutterBasis(self.dimension)
         dup._indices = list(self._indices)
-        dup._use(self._normals.copy(), self._offsets.copy(), self._inverse.copy())
+        dup._use(self._normals.copy(), self._offsets.copy(), self._q.copy(), self._r_inv.copy())
         return dup

@@ -183,6 +183,10 @@ class LinearProgram:
         return ok
 
 
+# Above this, squaring a coefficient comes within a factor 1e8 of overflow, so
+# a sum of squares is taken after scaling by the largest coefficient.
+HUGE_COEFFICIENT = 1e150
+
 # A unit row's norm is 1 to within a few units in the last place, so normalize's
 # zero-normal test cannot reject a row of a program it returned below this geom_tol.
 _UNIT_NORM_FLOOR = 0.5
@@ -192,7 +196,9 @@ def normalize(lp: LinearProgram, geom_tol: float = 1e-9) -> LinearProgram:
     """Rescale every row so its normal has unit Euclidean norm.
 
     The satisfaction set of each row is unchanged (both sides are divided by
-    a positive number). A program that normalize returned comes back as it
+    a positive number). A row with a coefficient above HUGE_COEFFICIENT is
+    scaled by its largest |a_j| before its squares are summed, so its norm
+    does not overflow. A program that normalize returned comes back as it
     is, so normalizing twice gives the bits of normalizing once; a second
     division would move the last bit of some rows. Only at geom_tol >= 0.5,
     where the zero-normal test could reject a unit row, is it divided again,
@@ -200,14 +206,24 @@ def normalize(lp: LinearProgram, geom_tol: float = 1e-9) -> LinearProgram:
     """
     if lp._normalized and geom_tol < _UNIT_NORM_FLOOR:
         return lp
-    # the expression np.linalg.norm(A, axis=1) evaluates, without its wrapper
-    norms = np.sqrt(np.add.reduce(lp.A * lp.A, axis=1))
+    A = lp.A
+    if np.maximum.reduce(np.abs(A), axis=None) > HUGE_COEFFICIENT:
+        # the sum of squares of such a row can overflow to inf, and dividing by
+        # it would wipe the row out: its norm is s |a / s|, s its largest |a_j|;
+        # the other rows are divided by 1 and multiplied by 1, which is exact
+        peak = np.maximum.reduce(np.abs(A), axis=1)
+        scale = np.where(peak > HUGE_COEFFICIENT, peak, 1.0)
+        scaled = A / scale[:, None]
+        norms = np.sqrt(np.add.reduce(scaled * scaled, axis=1)) * scale
+    else:
+        # the expression np.linalg.norm(A, axis=1) evaluates, without its wrapper
+        norms = np.sqrt(np.add.reduce(A * A, axis=1))
     short = norms <= geom_tol
     if np.logical_or.reduce(short):
         raise ZeroNormalError(int(short.argmax()))
     # the arrays are valid by construction, so the new program wraps them unchecked
     unit = object.__new__(LinearProgram)
-    unit._store(lp.A / norms[:, None], lp.b / norms, lp.senses, lp.objective, lp.gt_rows,
+    unit._store(A / norms[:, None], lp.b / norms, lp.senses, lp.objective, lp.gt_rows,
                 lp.eq_rows, normalized=True)
     return unit
 

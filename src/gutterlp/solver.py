@@ -28,6 +28,7 @@ import numpy as np
 from .geometry import project_onto_intersection
 from .gram import GutterBasis
 from .model import (
+    HUGE_COEFFICIENT,
     DimensionMismatchError,
     Direction,
     LinearProgram,
@@ -175,38 +176,25 @@ def _slide_direction(a: np.ndarray, basis: GutterBasis, d: float, geom_tol: floa
                      feas_tol: float, epsilon: float = 0.0) -> tuple[Optional[np.ndarray], float]:
     """Movement direction parallel to the gutter that approaches the target plane.
 
-    Equivalent to normalizing P3 - P1, where P1 and P3 are the projections of
-    the center and of its target-plane foot onto the gutter intersection; the
-    second value is |P3 - P1|, whose vanishing signals "no slope on the gutter".
-    a is the target's unit normal and d its signed distance at the center. A
-    target within feas_tol of its plane (a strict target left on it) has the
-    gap up to the epsilon standoff left to travel instead of the plane
-    distance, the same test resolve_constraint uses for its hit time.
+    The direction is the target's unit normal a projected onto the gutter's
+    tangent space, basis.tangent(a), then normalized. That equals normalizing
+    P3 - P1, where P1 and P3 are the projections of the center and of its
+    target-plane foot onto the gutter intersection; the second value is
+    |P3 - P1|, whose vanishing signals "no slope on the gutter". The
+    basis's rows are orthonormal to rounding level, so the one projection
+    leaves dir-gutter dot products at rounding level too. d is the target's
+    signed distance at the center. A target within feas_tol of its plane (a
+    strict target left on it) has the gap up to the epsilon standoff left to
+    travel instead of the plane distance, the same test resolve_constraint
+    uses for its hit time.
     """
-    rows = basis.size
-    if rows:
-        G = basis.normals_matrix()
-        proj = a - basis.correction(G.dot(a))
-    else:
-        proj = a
+    proj = basis.tangent(a)
     norm = math.sqrt(proj.dot(proj))
     travel = -d if d < -feas_tol else max(epsilon - d, 0.0)
     slope = travel * norm
     if norm <= geom_tol or slope <= geom_tol:
         return None, slope
-    direction = proj / norm
-    if rows:
-        # one re-orthogonalization pass keeps dir-gutter dot products at rounding level
-        for _ in range(3):
-            drift = G.dot(direction)
-            if np.maximum.reduce(np.abs(drift)) <= 1e-12:
-                break
-            direction = direction - basis.correction(drift)
-            norm = math.sqrt(direction.dot(direction))
-            if norm <= geom_tol:
-                return None, slope
-            direction = direction / norm
-    return direction, slope
+    return proj / norm, slope
 
 
 def resolve_constraint(lp: LinearProgram, state: SolverState, config: SolverConfig,
@@ -580,6 +568,11 @@ def solve_optimum(lp: LinearProgram, config: Optional[SolverConfig] = None,
 
     c = lp.objective.coefficients
     work_c = c if lp.objective.direction is Direction.MAX else -c
+    peak = float(np.maximum.reduce(np.abs(work_c)))
+    if peak > HUGE_COEFFICIENT:
+        # c . c can overflow to inf, which would turn c_hat into zero; scaling
+        # keeps the direction
+        work_c = work_c / peak
     norm_c = math.sqrt(work_c.dot(work_c))
     diagnostics = list(phase1.diagnostics)
     if norm_c <= config.geom_tol:

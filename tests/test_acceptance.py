@@ -125,7 +125,7 @@ def test_criterion_01_projection_equivalence():
 
 
 def test_criterion_02_incremental_inverse_equivalence():
-    """200 append sequences: bordered inverse vs from-scratch, degeneracy vs rank."""
+    """200 append sequences: (G G^T)^-1 from the incremental basis vs from-scratch, degeneracy vs rank."""
     rng = np.random.default_rng(2002)
     t0 = time.perf_counter()
     worst = 0.0

@@ -112,6 +112,17 @@ class TestSolveCommand:
         assert code == 2
         assert json.loads(capsys.readouterr().out)["verdict"] == "UNBOUNDED"
 
+    def test_huge_coefficients_keep_their_row(self, tmp_path, capsys):
+        # 1e200 x + 1e200 y >= 1e200 used to normalize to 0 >= 0, and (0, 0) came back
+        path = tmp_path / "huge.lp"
+        path.write_text("vars 2\nc 1e200 1e200 >= 1e200\nc -1 0 >= -5\nc 0 -1 >= -5\n")
+        code = cli.main(["solve", str(path)])
+        record = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert record["verdict"] == "FEASIBLE"
+        x, y = record["point"]
+        assert x + y >= 1.0 and x <= 5.0 and y <= 5.0
+
     def test_missing_file(self, capsys):
         code = cli.main(["solve", "/nonexistent/x.lp"])
         capsys.readouterr()

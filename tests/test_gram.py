@@ -170,8 +170,66 @@ class TestIncrementalEquivalence:
 COEFFICIENT = st.floats(-1.0, 1.0, allow_nan=False)
 
 
+class TestNearDependentRows:
+    """Rows whose residual against the span is small but above geom_tol: the second pass runs."""
+
+    @staticmethod
+    def _near_dependent_basis(rng):
+        n = int(rng.integers(4, 13))
+        basis = GutterBasis(n)
+        for k, row in enumerate(random_unit_rows(rng, int(rng.integers(1, n // 2 + 1)), n)):
+            assert basis.append_row(k, row)
+        while basis.size < n:
+            G = basis.normals_matrix()
+            inside = unit(rng.standard_normal(basis.size) @ G)
+            z = rng.standard_normal(n)
+            z -= np.linalg.lstsq(G.T, z, rcond=None)[0] @ G
+            # the residual of the new row against the span is about delta
+            delta = 10.0 ** rng.uniform(np.log10(4e-5), -1.0)
+            assert basis.append_row(basis.size, unit(inside + delta * unit(z)))
+        return basis
+
+    def test_tangent_is_orthogonal_to_every_row(self):
+        rng = np.random.default_rng(48)
+        for _ in range(60):
+            basis = self._near_dependent_basis(rng)
+            G = basis.normals_matrix()
+            for t in range(1, basis.size):
+                probe = GutterBasis(basis.dimension)
+                for k in range(t):
+                    probe.append_row(k, G[k])
+                v = rng.standard_normal(basis.dimension)
+                drift = np.max(np.abs(G[:t] @ probe.tangent(v)))
+                assert drift <= 1e-13 * np.linalg.norm(v)
+
+    def test_multipliers_match_least_squares(self):
+        rng = np.random.default_rng(49)
+        for _ in range(60):
+            basis = self._near_dependent_basis(rng)
+            G = basis.normals_matrix()
+            for t in range(1, basis.size + 1):
+                probe = GutterBasis(basis.dimension)
+                for k in range(t):
+                    probe.append_row(k, G[k])
+                a = rng.standard_normal(basis.dimension)
+                if rng.random() < 0.5:
+                    a = rng.standard_normal(t) @ G[:t]
+                y = np.linalg.lstsq(G[:t].T, -a, rcond=None)[0]
+                bound = 1e-12 * np.linalg.cond(G[:t]) * max(1.0, np.max(np.abs(y)))
+                assert np.max(np.abs(probe.multipliers(a) - y)) <= bound
+
+    def test_tangent_of_an_empty_basis_is_a_copy(self):
+        basis = GutterBasis(3)
+        v = np.array([1.0, -2.0, 0.5])
+        got = basis.tangent(v)
+        assert np.array_equal(got, v) and got is not v
+        with pytest.raises(DimensionMismatchError):
+            basis.tangent([1.0, 2.0])
+
+
 class TestInPlaceBuffers:
-    """The inverse is updated in place in buffers kept across appends and resets."""
+    """Rows, orthonormal rows and R^-1 are written in place, in buffers kept across appends and
+    resets; (G G^T)^-1 formed from them matches a direct inverse."""
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())

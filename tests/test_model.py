@@ -68,6 +68,19 @@ class TestNormalize:
         with pytest.raises(ZeroNormalError):
             normalize(once, geom_tol)
 
+    def test_huge_coefficients_keep_their_row(self):
+        # the first row's sum of squares overflows; the other rows keep their bits
+        rows = [[1e200, 1e200], [-1.0, 0.0], [3.0, 4.0], [2e150, -1.0]]
+        offsets = [1e200, -5.0, 10.0, 1.0]
+        unit = normalize(make_lp(rows, offsets))
+        assert unit.A[0] == pytest.approx([2 ** -0.5, 2 ** -0.5], rel=1e-15)
+        assert unit.b[0] == pytest.approx(2 ** -0.5, rel=1e-15)
+        assert unit.A[3] == pytest.approx([1.0, -5e-151], rel=1e-15)
+        assert unit.b[3] == pytest.approx(5e-151, rel=1e-15)
+        ordinary = normalize(make_lp(rows[1:3], offsets[1:3]))
+        assert np.array_equal(unit.A[1:3], ordinary.A)
+        assert np.array_equal(unit.b[1:3], ordinary.b)
+
     def test_sign_of_distance_preserved(self):
         rng = np.random.default_rng(11)
         raw = make_lp(rng.standard_normal((8, 3)) * 5.0, rng.standard_normal(8))

@@ -372,6 +372,16 @@ class TestSolveOptimum:
         with pytest.raises(ValueError, match="start point must be finite"):
             solve_optimum(lp, CFG, start=start)
 
+    @pytest.mark.parametrize("direction,sign", [(Direction.MAX, 1.0), (Direction.MIN, -1.0)])
+    def test_huge_objective_keeps_its_direction(self, direction, sign):
+        # c . c overflows to inf; dividing by it would walk a zero objective
+        lp = make_lp([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]], [0.0, 0.0, -5.0, -5.0],
+                     objective=Objective(direction, sign * np.array([1e200, 1e200])))
+        result = solve_optimum(lp, CFG)
+        assert result.verdict is Verdict.OPTIMAL
+        assert np.allclose(result.point, [5.0, 5.0], atol=1e-9)
+        assert result.objective_value == pytest.approx(sign * 1e201, rel=1e-12)
+
     def test_objective_constant_on_equality_flat(self):
         lp = make_lp([[1.0, 0.0], [0.0, -1.0]], [2.0, -5.0], [Sense.EQ, Sense.GE],
                      objective=Objective(Direction.MAX, np.array([1.0, 0.0])))
@@ -469,6 +479,25 @@ class TestTraceInvariants:
             assert result.verdict is Verdict.FEASIBLE
             assert testkit.check_trace(inst.lp, events, CFG.epsilon, CFG.feas_tol) == []
             assert testkit.monotone_approach_violations(inst.lp, events) == []
+
+    def test_full_gutters_keep_directions_orthogonal(self):
+        # phase II fills gutters of up to 20 rows; the slide direction is one
+        # projection, so its drift off the gutter planes must stay at rounding level
+        worst = 0.0
+        for seed in range(10):
+            base = testkit.gen_feasible(20, 60, 0.1, seed).lp
+            c = np.random.default_rng((seed, 20, 3)).standard_normal(20)
+            lp = LinearProgram.from_arrays(base.A, base.b,
+                                           objective=Objective(Direction.MAX, c))
+            events = []
+            solve_optimum(lp, CFG, trace=events.append)
+            problems = testkit.check_trace(lp, events, CFG.epsilon, CFG.feas_tol)
+            assert not [p for p in problems if "drift" in p]
+            for event in events:
+                if event.gutter_indices and any(event.dir):
+                    drift = lp.A[list(event.gutter_indices)] @ np.asarray(event.dir)
+                    worst = max(worst, float(np.max(np.abs(drift))))
+        assert 0.0 < worst <= 1e-10
 
     def test_resolved_points_pass_check(self):
         rng = np.random.default_rng(100)
