@@ -1,14 +1,20 @@
-"""Active-plane basis held as orthonormal rows: G = R Q, with R^-1 kept up to date.
+"""Active-plane basis held as orthonormal rows: G = R Q, with R^-1 built when it is read.
 
 Rows only ever get appended within a resolve cycle, and the solver holds one
 basis per solve and reset()s it at the start of every cycle. An append is one
 Gram-Schmidt step: the new unit row a is projected off the orthonormal rows Q
 already held, and what is left, normalized, becomes the next row of Q. Its
-coefficients against Q extend the lower-triangular R (G = R Q) by a row, and
-R^-1 by the matching row, in O(t n + t^2). A second projection pass runs only
-when the first one cancelled more than half of |a|^2; two passes leave Q
-orthonormal to rounding level ("twice is enough": Giraud, Langou & Rozlozník
-2005). R itself is never read, so it is not stored.
+coefficients against Q extend the lower-triangular R (G = R Q) by a row, in
+O(t n). A second projection pass runs only when the first one cancelled more
+than half of |a|^2; two passes leave Q orthonormal to rounding level ("twice
+is enough": Giraud, Langou & Rozlozník 2005).
+
+The inner step reads only Q, through tangent() and deflate(); R^-1 is needed
+only by correction(), multipliers() and gram_inverse, which the solver calls
+at the end of a cycle. So R^-1 is extended on read, one row per appended row
+not yet built, by the forward-substitution recurrence
+R^-1[k, :k] = R[k, :k] R^-1[:k, :k] / -R[k, k] and R^-1[k, k] = 1 / R[k, k].
+The rows built are the same whenever they are read.
 
 Every product the solver needs comes from Q and R^-1 without forming G G^T,
 whose condition number is that of G squared:
@@ -16,11 +22,11 @@ whose condition number is that of G squared:
 - correction(r) = G^T (G G^T)^-1 r = Q^T (R^-1 r);
 - multipliers(a) = -(G G^T)^-1 G a = -R^-T (Q a).
 
-Rows, offsets, Q and R^-1 live in buffers allocated once per basis (n x n, n,
-n x n and n x n); the first `size` rows, and the leading size x size block of
-R^-1, are the live part. An append writes one row of each, and a reset keeps
-the buffers for the next cycle. R^-1 is written only on and below its
-diagonal, so its upper triangle stays zero.
+Rows, offsets, Q, R and R^-1 live in buffers allocated once per basis (n x n,
+n, n x n, n x n and n x n); the first `size` rows, and the leading size x size
+blocks of R and R^-1, are the live part. An append writes one row of the first
+four, and a reset keeps the buffers for the next cycle. R and R^-1 are written
+only on and below their diagonals, so their upper triangles stay zero.
 """
 from __future__ import annotations
 
@@ -38,6 +44,8 @@ class DuplicateIndexError(ValueError):
 class GutterBasis:
     """Ordered unit rows (constraint index, normal, plane offset) with an orthonormal basis of their span.
 
+    Holds the rows G, the orthonormal rows Q and the triangular R with
+    G = R Q, and the rows of R^-1 built so far (`_built`, at most `size`).
     normals_matrix() and offsets_vector() are read-only views of the first
     `size` rows of the buffers, valid until the next reset(); gram_inverse
     is a new array.
@@ -46,13 +54,15 @@ class GutterBasis:
     def __init__(self, dimension: int):
         self.dimension = int(dimension)
         self._indices: list[int] = []
+        self._built = 0
         n = self.dimension
-        self._use(np.zeros((n, n)), np.zeros(n), np.zeros((n, n)), np.zeros((n, n)))
+        self._use(np.zeros((n, n)), np.zeros(n), np.zeros((n, n)), np.zeros((n, n)),
+                  np.zeros((n, n)))
 
-    def _use(self, normals: np.ndarray, offsets: np.ndarray, q: np.ndarray,
+    def _use(self, normals: np.ndarray, offsets: np.ndarray, q: np.ndarray, r: np.ndarray,
              r_inv: np.ndarray) -> None:
         """Take the buffers, with one read-only view of the rows and offsets that the accessors slice."""
-        self._normals, self._offsets, self._q, self._r_inv = normals, offsets, q, r_inv
+        self._normals, self._offsets, self._q, self._r, self._r_inv = normals, offsets, q, r, r_inv
         self._normals_view, self._offsets_view = normals.view(), offsets.view()
         self._normals_view.setflags(write=False)
         self._offsets_view.setflags(write=False)
@@ -65,11 +75,22 @@ class GutterBasis:
     def indices(self) -> tuple[int, ...]:
         return tuple(self._indices)
 
+    def _r_inverse(self) -> np.ndarray:
+        """The live block of R^-1, after building the rows appended since the last read."""
+        t = len(self._indices)
+        r, r_inv = self._r, self._r_inv
+        for k in range(self._built, t):
+            rho = float(r[k, k])
+            if k:
+                r_inv[k, :k] = r[k, :k].dot(r_inv[:k, :k]) / -rho
+            r_inv[k, k] = 1.0 / rho
+        self._built = t
+        return r_inv[:t, :t]
+
     @property
     def gram_inverse(self) -> np.ndarray:
         """(G G^T)^-1 = R^-T R^-1, exactly symmetric."""
-        t = len(self._indices)
-        r_inv = self._r_inv[:t, :t]
+        r_inv = self._r_inverse()
         inverse = r_inv.T.dot(r_inv)
         return 0.5 * (inverse + inverse.T)
 
@@ -87,7 +108,9 @@ class GutterBasis:
         at most geom_tol, i.e. the new normal is linearly dependent on the
         existing rows. In exact arithmetic pi is the Schur pivot
         |a|^2 - w^T (G G^T)^-1 w of G G^T bordered by w = G a. A dependent
-        row is a signal for the caller, not an error.
+        row is a signal for the caller, not an error. An accepted row writes
+        its normalized residual into Q and its coefficients (Q a, sqrt(pi))
+        into R; R^-1 gains the row when it is next read.
         """
         index = int(index)
         if index in self._indices:
@@ -120,10 +143,9 @@ class GutterBasis:
             return False
         rho = math.sqrt(pi)
         np.divide(u, rho, out=self._q[t])
-        r_inv = self._r_inv
         if t:
-            r_inv[t, :t] = w.dot(r_inv[:t, :t]) / -rho
-        r_inv[t, t] = 1.0 / rho
+            self._r[t, :t] = w
+        self._r[t, t] = rho
 
         self._indices.append(index)
         self._normals[t] = a
@@ -143,6 +165,16 @@ class GutterBasis:
         q = self._q[:t]
         return v - q.dot(v).dot(q)
 
+    def deflate(self, v: np.ndarray) -> None:
+        """v -= (q . v) q in place, for q the newest orthonormal row of a non-empty basis.
+
+        With v = tangent(a) taken before the last append, this leaves v as
+        tangent(a) of the basis now, one modified Gram-Schmidt step later: a
+        dot product and an axpy in place of a fresh projection on every row.
+        """
+        q = self._q[len(self._indices) - 1]
+        v -= q.dot(v) * q
+
     def correction(self, residuals) -> np.ndarray:
         """G^T (G G^T)^-1 residuals = Q^T R^-1 residuals; the zero vector for an empty basis."""
         r = np.asarray(residuals, dtype=float).reshape(-1)
@@ -153,7 +185,7 @@ class GutterBasis:
             )
         if t == 0:
             return np.zeros(self.dimension)
-        return self._r_inv[:t, :t].dot(r).dot(self._q[:t])
+        return self._r_inverse().dot(r).dot(self._q[:t])
 
     def multipliers(self, a) -> np.ndarray:
         """-R^-T Q a = -(G G^T)^-1 G a: the weights y with G^T y nearest to -a; empty for an empty basis.
@@ -163,14 +195,17 @@ class GutterBasis:
         condition that makes the gutter vertex optimal.
         """
         t = len(self._indices)
-        return -self._q[:t].dot(a).dot(self._r_inv[:t, :t])
+        return -self._q[:t].dot(a).dot(self._r_inverse())
 
     def reset(self) -> None:
         """Empty the basis; the buffers are kept for the next rows."""
         self._indices.clear()
+        self._built = 0
 
     def copy(self) -> "GutterBasis":
         dup = GutterBasis(self.dimension)
         dup._indices = list(self._indices)
-        dup._use(self._normals.copy(), self._offsets.copy(), self._q.copy(), self._r_inv.copy())
+        dup._built = self._built
+        dup._use(self._normals.copy(), self._offsets.copy(), self._q.copy(), self._r.copy(),
+                 self._r_inv.copy())
         return dup

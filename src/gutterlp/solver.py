@@ -83,7 +83,9 @@ class SolverState:
     target_index: int = -1
     pinned_eq: set[int] = field(default_factory=set)
     inner_iter: int = 0
-    distances: Optional[np.ndarray] = None  # A p0 - b when resolve_constraint returned RESOLVED
+    # A p0 - b at the center when resolve_constraint returned RESOLVED or phase I
+    # returned FEASIBLE
+    distances: Optional[np.ndarray] = None
 
 
 class ResolveOutcome(Enum):
@@ -172,23 +174,23 @@ def _repin(basis: GutterBasis, lp: LinearProgram, pinned, geom_tol: float) -> Gu
     return basis
 
 
-def _slide_direction(a: np.ndarray, basis: GutterBasis, d: float, geom_tol: float,
-                     feas_tol: float, epsilon: float = 0.0) -> tuple[Optional[np.ndarray], float]:
+def _slide_direction(proj: np.ndarray, d: float, geom_tol: float, feas_tol: float,
+                     epsilon: float = 0.0) -> tuple[Optional[np.ndarray], float]:
     """Movement direction parallel to the gutter that approaches the target plane.
 
-    The direction is the target's unit normal a projected onto the gutter's
-    tangent space, basis.tangent(a), then normalized. That equals normalizing
-    P3 - P1, where P1 and P3 are the projections of the center and of its
-    target-plane foot onto the gutter intersection; the second value is
-    |P3 - P1|, whose vanishing signals "no slope on the gutter". The
-    basis's rows are orthonormal to rounding level, so the one projection
+    proj is the target's unit normal a projected onto the gutter's tangent
+    space: basis.tangent(a) at cycle start, then deflated by each appended
+    row (GutterBasis.deflate). The direction is proj normalized. That equals
+    normalizing P3 - P1, where P1 and P3 are the projections of the center
+    and of its target-plane foot onto the gutter intersection; the second
+    value is |P3 - P1|, whose vanishing signals "no slope on the gutter". The
+    basis's rows are orthonormal to rounding level, so each projection step
     leaves dir-gutter dot products at rounding level too. d is the target's
     signed distance at the center. A target within feas_tol of its plane (a
     strict target left on it) has the gap up to the epsilon standoff left to
     travel instead of the plane distance, the same test resolve_constraint
     uses for its hit time.
     """
-    proj = basis.tangent(a)
     norm = math.sqrt(proj.dot(proj))
     travel = -d if d < -feas_tol else max(epsilon - d, 0.0)
     slope = travel * norm
@@ -214,23 +216,28 @@ def resolve_constraint(lp: LinearProgram, state: SolverState, config: SolverConf
     the ball). After RESOLVED, state.distances holds A p0 - b at the final
     center. `d`, when given, must be A p0 - b at the current center and
     `satisfied` its lp.satisfied mask, as the caller's violation check
-    already computed them; the cycle takes the mask over and modifies it.
+    already computed them; neither is modified.
 
     The planes that can stop the ball are lp's rows satisfied when the cycle
     starts, less the pinned and gutter rows and rows whose append was
-    degenerate (until the next successful append). A scan finds the first
-    plane hit as the least hit time t, ties going to the lowest index. The
-    target ties by its index: a row of lp beats the rows after it, and a
+    degenerate (until the next successful append). The cycle keeps them as a
+    float gate, -0.0 on open rows and -inf on closed ones. A scan finds the
+    first plane hit as the least hit time t, ties going to the lowest index.
+    The target ties by its index: a row of lp beats the rows after it, and a
     given `target`, which events report as index m = lp.num_constraints,
-    beats none. For each slide direction the open rows carry -A dir (`live`,
-    -inf when closed), so a scan is t = (A p0 - b) / live.
+    beats none. For each slide direction, live = gate - A dir, with -inf on
+    the rows too flat to hit; -0.0 - s is -s for every finite s, signed zeros
+    included, so live is -A dir on the open rows bit for bit. A scan is then
+    t = (A p0 - b) / live.
 
     A far obstacle moves the center back to its epsilon standoff, where it
     touches the ball, and joins the gutter in the same step, as a near one
     does. With epsilon == 0 the center lands on the far plane, which the
     next scan drops, so there the backoff ends its step. A p0 - b and the
-    target's distance are recomputed only after the center moved, and
-    A dir, live and the target's slope only after the direction changed.
+    target's distance are recomputed after every move, and A dir, live and
+    the target's slope only after the direction changed. The target's
+    projection onto the gutter's tangent space is taken once per cycle and
+    deflated by each appended row.
     """
     A, b = lp.A, lp.b
     m, n = A.shape
@@ -250,10 +257,13 @@ def resolve_constraint(lp: LinearProgram, state: SolverState, config: SolverConf
     # a row of lp reads its distance and slope from lp's matvecs, which can
     # differ from a 1-D dot product in the last bit
     d_i = float(d[i]) if own else float(a.dot(d_at)) - beta
-    open_rows = lp.satisfied(d, feas_tol) if satisfied is None else satisfied
+    if satisfied is None:
+        satisfied = lp.satisfied(d, feas_tol)
+    gate = np.where(satisfied, -0.0, -np.inf)
     if state.pinned_eq or state.gutter.size:
-        open_rows[[*state.pinned_eq, *state.gutter.indices]] = False
-    direction, _ = _slide_direction(a, state.gutter, d_i, geom_tol, feas_tol, eps)
+        gate[[*state.pinned_eq, *state.gutter.indices]] = -np.inf
+    proj = state.gutter.tangent(a)
+    direction, _ = _slide_direction(proj, d_i, geom_tol, feas_tol, eps)
     if direction is None:
         _emit(trace, state, EventKind.STALL, "no-slope at cycle start", stopped=True)
         return ResolveOutcome.NO_SLOPE
@@ -285,7 +295,8 @@ def resolve_constraint(lp: LinearProgram, state: SolverState, config: SolverConf
         if state.dir is not scanned_dir:
             scanned_dir = state.dir
             slope = A.dot(scanned_dir)
-            live = np.where(open_rows & (np.abs(slope) > geom_tol), -slope, -np.inf)
+            live = gate - slope
+            np.putmask(live, np.abs(slope) <= geom_tol, -np.inf)
             slope_i = float(slope[i]) if own else float(a.dot(scanned_dir))
             target_steep = abs(slope_i) > geom_tol
         # a violated target is hit at its plane; a strict target already on
@@ -328,14 +339,14 @@ def resolve_constraint(lp: LinearProgram, state: SolverState, config: SolverConf
             if eps == 0:
                 # a zero-radius ball lands on the plane, which the next scan drops
                 continue
-        open_rows[j] = False
+        gate[j] = -np.inf
         if not state.gutter.append_row(j, A[j], b[j], geom_tol):
             skipped.append(j)
             live[j] = -np.inf
             _emit(trace, state, EventKind.GUTTER_SKIP_DEGENERATE, "plane={}", j)
             continue
         if skipped:
-            open_rows[skipped] = True
+            gate[skipped] = -0.0
             skipped.clear()
         if state.gutter.size >= n:
             _emit(trace, state, EventKind.GUTTER_APPEND, "plane={}", j, stopped=True)
@@ -345,7 +356,8 @@ def resolve_constraint(lp: LinearProgram, state: SolverState, config: SolverConf
             d -= b
             d_at = state.p0
             d_i = float(d[i]) if own else float(a.dot(d_at)) - beta
-        direction, _ = _slide_direction(a, state.gutter, d_i, geom_tol, feas_tol, eps)
+        state.gutter.deflate(proj)
+        direction, _ = _slide_direction(proj, d_i, geom_tol, feas_tol, eps)
         if direction is None:
             _emit(trace, state, EventKind.GUTTER_APPEND, "plane={}", j, stopped=True)
             _emit(trace, state, EventKind.STALL, "no-slope", stopped=True)
@@ -355,16 +367,18 @@ def resolve_constraint(lp: LinearProgram, state: SolverState, config: SolverConf
 
 
 def _advance(state: SolverState, t: float, trace: TraceSink) -> None:
-    """Move the center t along the current direction; a MOVE event when it changed.
+    """Move the center t along the current direction, always to a new array.
 
-    An unchanged center keeps its array, which tells resolve_constraint that
-    its signed distances are still current.
+    With a trace sink, a MOVE event is emitted when some coordinate changed;
+    only that event needs the elementwise comparison, so an untraced solve
+    skips it. The center is the same either way, so tracing changes no
+    result.
     """
     moved = state.p0 + t * state.dir
-    if np.logical_or.reduce(moved != state.p0):
-        state.p0 = moved
-        if trace is not None:
-            _emit(trace, state, EventKind.MOVE, "advance t={:.9e}", t)
+    changed = trace is not None and np.logical_or.reduce(moved != state.p0)
+    state.p0 = moved
+    if changed:
+        _emit(trace, state, EventKind.MOVE, "advance t={:.9e}", t)
 
 
 def repair_or_conclude(lp: LinearProgram, state: SolverState, config: SolverConfig,
@@ -442,6 +456,7 @@ def _solve_feasibility_state(lp: LinearProgram, config: SolverConfig,
             d = lp.A.dot(state.p0) - lp.b
         satisfied = lp.satisfied(d, config.feas_tol)
         if np.logical_and.reduce(satisfied):
+            state.distances = d
             return _result(Verdict.FEASIBLE, state, diagnostics, point=state.p0), state
 
         violated = ~satisfied
@@ -585,12 +600,16 @@ def solve_optimum(lp: LinearProgram, config: Optional[SolverConfig] = None,
     best_height = -math.inf
     last_stall_height: Optional[float] = None
     last_detail = ""
+    # phase I's last distances hold at the center until the first cycle moves it
+    d = state.distances
 
     for _ in range(config.outer_cap(lp)):
         _repin(state.gutter, lp, state.pinned_eq, config.geom_tol)
         _emit(trace, state, EventKind.SELECT_TARGET, "target={} artificial",
               lp.num_constraints, stopped=True)
-        outcome = resolve_constraint(lp, state, config, trace, target=(c_hat, math.inf, Sense.GE))
+        outcome = resolve_constraint(lp, state, config, trace, d,
+                                     target=(c_hat, math.inf, Sense.GE))
+        d = None
 
         if outcome is ResolveOutcome.UNBOUNDED_RAY:
             if _recession_ray(lp, state.dir, config.geom_tol) and \

@@ -218,6 +218,31 @@ class TestNearDependentRows:
                 bound = 1e-12 * np.linalg.cond(G[:t]) * max(1.0, np.max(np.abs(y)))
                 assert np.max(np.abs(probe.multipliers(a) - y)) <= bound
 
+    def test_deflated_projection_matches_tangent(self):
+        # the solver takes tangent(a) once per cycle and deflates it by each appended
+        # row; measured over seeds 0-19 of this construction (60 bases each), the
+        # largest |proj - tangent(a)| and |G proj| are 3.5e-16 for a unit a
+        rng = np.random.default_rng(50)
+        for _ in range(60):
+            G = self._near_dependent_basis(rng).normals_matrix()
+            n = G.shape[1]
+            a = unit(rng.standard_normal(n))
+            basis = GutterBasis(n)
+            proj = basis.tangent(a)
+            for k in range(n):
+                assert basis.append_row(k, G[k])
+                basis.deflate(proj)
+                tangent = basis.tangent(a)
+                assert np.max(np.abs(proj - tangent)) <= 1e-14
+                assert np.max(np.abs(G[:k + 1] @ proj)) <= 1e-14
+                if k + 1 < n:
+                    # a rejected append changes no orthonormal row: tangent(a) keeps its
+                    # bits, so the projection, which the solver does not deflate then,
+                    # still matches it
+                    combo = unit(rng.standard_normal(k + 1) @ G[:k + 1])
+                    assert not basis.append_row(n + k, combo)
+                    assert basis.tangent(a).tobytes() == tangent.tobytes()
+
     def test_tangent_of_an_empty_basis_is_a_copy(self):
         basis = GutterBasis(3)
         v = np.array([1.0, -2.0, 0.5])
@@ -325,3 +350,46 @@ class TestInPlaceBuffers:
         assert snapshot.append_row(2, rows[2])
         assert basis.indices == (4, 0)
         assert np.array_equal(basis.gram_inverse, now)
+
+
+class TestInverseBuiltOnRead:
+    """R^-1 is extended when correction, multipliers or gram_inverse reads it, not per append."""
+
+    READS = ("correction", "multipliers", "gram_inverse")
+
+    @staticmethod
+    def _read(basis, how, v):
+        if how == "correction":
+            return basis.correction(v[:basis.size])
+        if how == "multipliers":
+            return basis.multipliers(v)
+        return basis.gram_inverse
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_reads_do_not_depend_on_when_they_happen(self, data):
+        n = data.draw(st.integers(1, 6), label="n")
+        basis = GutterBasis(n)
+        for index in range(data.draw(st.integers(1, 20), label="steps")):
+            op = data.draw(st.sampled_from(["row", "row", "dependent", "reset", "read", "read"]),
+                           label="op")
+            if op == "reset":
+                basis.reset()
+            elif op == "dependent" and basis.size:
+                weights = np.array(data.draw(st.lists(COEFFICIENT, min_size=basis.size,
+                                                      max_size=basis.size), label="weights"))
+                combo = weights @ basis.normals_matrix()
+                if np.linalg.norm(combo) >= 1e-3:
+                    assert not basis.append_row(index, unit(combo), geom_tol=1e-3)
+            elif op == "row":
+                row = np.array(data.draw(st.lists(COEFFICIENT, min_size=n, max_size=n), label="row"))
+                if np.linalg.norm(row) >= 1e-3:
+                    basis.append_row(index, unit(row), geom_tol=1e-3)
+            else:
+                how = data.draw(st.sampled_from(self.READS), label="read")
+                v = np.array(data.draw(st.lists(COEFFICIENT, min_size=n, max_size=n), label="v"))
+                fresh = GutterBasis(n)
+                for k, row in zip(basis.indices, basis.normals_matrix()):
+                    assert fresh.append_row(k, row, geom_tol=1e-3)
+                got = self._read(basis, how, v)
+                assert got.tobytes() == self._read(fresh, how, v).tobytes()

@@ -618,18 +618,42 @@ def _instance(family, n, m, seed):
     return lp, solve
 
 
-@pytest.mark.parametrize("family,n,m", [("feasible", 5, 20), ("infeasible", 5, 20),
-                                        ("feasible", 20, 200), ("optimize", 3, 8),
+@pytest.mark.parametrize("family,n,m", [("feasible", 3, 8), ("infeasible", 3, 8),
+                                        ("optimize", 3, 8), ("feasible", 5, 20),
+                                        ("infeasible", 5, 20), ("feasible", 10, 50),
+                                        ("infeasible", 10, 50), ("optimize", 10, 50),
+                                        ("feasible", 20, 200), ("infeasible", 20, 200),
+                                        ("optimize", 20, 200),
                                         ("text-feasible", 2, 6), ("text-infeasible", 3, 8),
                                         ("text-optimize", 4, 12), ("strict", 5, 20),
                                         ("strict", 10, 50), ("equality", 3, 8),
                                         ("equality", 5, 20)])
 def test_tracing_changes_no_result(family, n, m):
     # one program object is solved untraced and then traced, so a result that
-    # depended on tracing or on state left by the first solve would show here
+    # depended on tracing or on state left by the first solve would show here.
+    # Only a traced solve compares each moved center with the last one, and
+    # that comparison holds -0.0 equal to +0.0, so starts of -0.0 are solved too
     for seed in range(10):
         lp, solve = _instance(family, n, m, seed)
-        assert _result_record(solve(lp)) == _result_record(solve(lp, trace=lambda event: None))
+        for start in (None, np.full(n, -0.0)):
+            assert _result_record(solve(lp, start=start)) == \
+                _result_record(solve(lp, start=start, trace=lambda event: None)), (seed, start)
+
+
+def test_rounding_size_move_takes_the_same_center_traced_or_not():
+    # the obstacle's distance rounds to 0.01 + 9.3e-12, so the center moves by
+    # 9.3e-12 along (0, 1): 1e6 keeps its bits, and -0.0 + 0.0 becomes +0.0. A
+    # traced solve must take that moved center too, and only skip its MOVE event
+    lp = make_lp([[0.0, 1.0], [0.0, -1.0]], [1e6 + 1.0, -(1e6 + 0.01)])
+    centers = []
+    for events in (None, []):
+        state = SolverState(p0=np.array([-0.0, 1e6]), epsilon=0.01, gutter=GutterBasis(2),
+                            target_index=0)
+        sink = None if events is None else events.append
+        assert resolve_constraint(lp, state, CFG, sink) is ResolveOutcome.NO_SLOPE
+        centers.append(state.p0.tobytes())
+    assert centers[0] == centers[1] == np.array([0.0, 1e6]).tobytes()
+    assert kinds(events) == [EventKind.GUTTER_APPEND, EventKind.STALL]
 
 
 def _text_and_arrays(family, n, m, seed):
