@@ -30,11 +30,24 @@ Exits 1, after printing a MISMATCH line, when a traced solve returns a
 different result from the untraced solve before it, or when the tiny-text and
 tiny-text/arrays digests differ. BLAS pools are pinned to one thread, as the
 benchmark pins them, before numpy is imported.
+
+    python3 scripts/result_digest.py --seeds 0 1 --against main
+
+compares this checkout with a git revision: REV's `src/` is unpacked with
+`git archive` into a temporary directory beside copies of this checkout's
+`perfbench/` and this script, which computes the same lines there in a fresh
+interpreter. One SAME or DIFFERS line follows per pool and seed, and any
+DIFFERS exits 1.
 """
 import argparse
 import hashlib
+import io
 import os
+import shutil
+import subprocess
 import sys
+import tarfile
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -131,17 +144,14 @@ def digest(instances) -> tuple[str, str, int, list[str]]:
     return h.hexdigest(), outcomes.hexdigest(), count, mismatched
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seeds", type=int, nargs="+", required=True)
-    args = parser.parse_args(argv)
-    for var in THREAD_VARS:
-        os.environ[var] = "1"
+def digest_lines(seeds) -> tuple[list[str], bool]:
+    """Print and return every pool's lines at each seed; the flag is True after a MISMATCH."""
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     import workloads
 
+    lines = []
     failed = False
-    for seed in args.seeds:
+    for seed in seeds:
         pools = [(name, _workload_pool(name, seed)) for name in workloads.WORKLOADS]
         pools.append(("tiny-text/arrays", _workload_pool("tiny-text", seed, arrays=True)))
         pools.append(("senses", _sense_grid(seed)))
@@ -149,16 +159,64 @@ def main(argv=None) -> int:
         for name, instances in pools:
             sha, outcomes, count, mismatched = digest(instances)
             shas[name] = sha
-            print(f"{name:<26} seed {seed:<6} {count:>5} instances  {sha}")
-            print(f"{name + '/outcomes':<26} seed {seed:<6} {count:>5} instances  {outcomes}",
-                  flush=True)
+            for label, value in ((name, sha), (name + "/outcomes", outcomes)):
+                lines.append(f"{label:<26} seed {seed:<6} {count:>5} instances  {value}")
+                print(lines[-1], flush=True)
             for label in mismatched:
                 print(f"MISMATCH {name} seed {seed}: traced result differs at {label}")
                 failed = True
         if shas["tiny-text"] != shas["tiny-text/arrays"]:
             print(f"MISMATCH tiny-text seed {seed}: LP text and arrays give different results")
             failed = True
-    return 1 if failed else 0
+    return lines, failed
+
+
+def lines_at(rev: str, seeds) -> list[str]:
+    """The digest lines of REV's src/, computed by this script in a fresh interpreter."""
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev, "src"],
+                             capture_output=True)
+    if archive.returncode:
+        raise SystemExit(f"error: git archive {rev}: {archive.stderr.decode().strip()}")
+    with tempfile.TemporaryDirectory() as tmp:
+        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+            tar.extractall(tmp, filter="data")
+        shutil.copytree(ROOT / "perfbench", Path(tmp) / "perfbench")
+        (Path(tmp) / "scripts").mkdir()
+        script = Path(tmp) / "scripts" / Path(__file__).name
+        shutil.copy(__file__, script)
+        run = subprocess.run([sys.executable, str(script), "--seeds", *map(str, seeds)],
+                             capture_output=True, text=True)
+    sys.stderr.write(run.stderr)
+    if run.returncode not in (0, 1):
+        raise SystemExit(f"error: the digest of {rev} failed with exit code {run.returncode}")
+    for line in run.stdout.splitlines():
+        if line.startswith("MISMATCH"):
+            print(f"{rev}: {line}")
+    return [line for line in run.stdout.splitlines() if not line.startswith("MISMATCH")]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seeds", type=int, nargs="+", required=True)
+    parser.add_argument("--against", metavar="REV",
+                        help="also compute the lines at git revision REV and compare")
+    args = parser.parse_args(argv)
+    for var in THREAD_VARS:
+        os.environ[var] = "1"
+    lines, failed = digest_lines(args.seeds)
+    if args.against is None:
+        return 1 if failed else 0
+
+    # a line's key is its pool, "seed" and the seed
+    theirs = {tuple(line.split()[:3]): line for line in lines_at(args.against, args.seeds)}
+    differs = False
+    for line in lines:
+        key = tuple(line.split()[:3])
+        same = theirs.get(key) == line
+        differs |= not same
+        print(f"{'SAME' if same else 'DIFFERS':<8} {' '.join(key)}"
+              f"{'' if key in theirs else f'  (no such line at {args.against})'}")
+    return 1 if failed or differs else 0
 
 
 if __name__ == "__main__":

@@ -208,7 +208,8 @@ def _event_record(event: TraceEvent) -> str:
 
 
 def _read_file(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as handle:
+    # utf-8-sig drops a leading byte-order mark, which some editors write
+    with open(path, "r", encoding="utf-8-sig") as handle:
         return handle.read()
 
 

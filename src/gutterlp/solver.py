@@ -238,6 +238,14 @@ def resolve_constraint(lp: LinearProgram, state: SolverState, config: SolverConf
     the target's slope only after the direction changed. The target's
     projection onto the gutter's tangent space is taken once per cycle and
     deflated by each appended row.
+
+    When the target comes first, the landing past its plane is cut short at
+    the first open plane the ball crosses (A dir < 0) on the way. Every hit
+    time is at least the scan's least one, t_first, so that minimum is taken
+    only for a landing beyond t_first. Traced and untraced solves move the
+    center by the same expression, state.p0 + t * state.dir; the MOVE test
+    (_trace_move) and the per-step events run only with a trace sink, so
+    tracing changes no result.
     """
     A, b = lp.A, lp.b
     m, n = A.shape
@@ -259,10 +267,12 @@ def resolve_constraint(lp: LinearProgram, state: SolverState, config: SolverConf
     d_i = float(d[i]) if own else float(a.dot(d_at)) - beta
     if satisfied is None:
         satisfied = lp.satisfied(d, feas_tol)
+    gutter = state.gutter
+    rows = gutter.size
     gate = np.where(satisfied, -0.0, -np.inf)
-    if state.pinned_eq or state.gutter.size:
-        gate[[*state.pinned_eq, *state.gutter.indices]] = -np.inf
-    proj = state.gutter.tangent(a)
+    if state.pinned_eq or rows:
+        gate[[*state.pinned_eq, *gutter.indices]] = -np.inf
+    proj = gutter.tangent(a)
     direction, _ = _slide_direction(proj, d_i, geom_tol, feas_tol, eps)
     if direction is None:
         _emit(trace, state, EventKind.STALL, "no-slope at cycle start", stopped=True)
@@ -282,9 +292,8 @@ def resolve_constraint(lp: LinearProgram, state: SolverState, config: SolverConf
             state.distances = d
             _emit(trace, state, EventKind.RESOLVED, "target={}", i)
             return ResolveOutcome.RESOLVED
-        if state.gutter.size >= n:
-            _emit(trace, state, EventKind.GUTTER_FULL, "target={} rows={}", i, state.gutter.size,
-                  stopped=True)
+        if rows >= n:
+            _emit(trace, state, EventKind.GUTTER_FULL, "target={} rows={}", i, rows, stopped=True)
             return ResolveOutcome.GUTTER_FULL
 
         state.inner_iter += 1
@@ -319,36 +328,46 @@ def resolve_constraint(lp: LinearProgram, state: SolverState, config: SolverConf
 
         if t_i < t_first or (t_i == t_first and i < j):
             # the target comes first: land at the epsilon standoff past its plane,
-            # stopping early on any open plane crossed on the way
+            # stopping early on any open plane crossed on the way; every t is at
+            # least t_first, so only a landing beyond t_first can cross one
             t_end = t_i
             if d_i < -feas_tol and eps > 0:
                 t_end += eps / slope_i
-            t_end = min(t_end, np.minimum.reduce(t[slope < 0], initial=np.inf))
-            _advance(state, t_end, trace)
+            if t_end > t_first:
+                t_end = min(t_end, np.minimum.reduce(t[slope < 0], initial=np.inf))
+            moved_from = state.p0
+            state.p0 = moved_from + t_end * state.dir
+            if trace is not None:
+                _trace_move(trace, state, moved_from, t_end)
             continue
 
         # put the center at the epsilon standoff on the ray, never moving
         # backward; the obstacle then touches the ball and joins the gutter
         slope_j = abs(float(slope[j]))
         t_place = t_first - (eps / slope_j if eps > 0 else 0.0)
-        far = d[j] > eps + feas_tol
+        far = float(d[j]) > eps + feas_tol
         if t_place > 0:
-            _advance(state, t_place, trace)
+            moved_from = state.p0
+            state.p0 = moved_from + t_place * state.dir
+            if trace is not None:
+                _trace_move(trace, state, moved_from, t_place)
         if far:
-            _emit(trace, state, EventKind.OBSTACLE_BACKOFF, "obstacle={}", j)
+            if trace is not None:
+                _emit(trace, state, EventKind.OBSTACLE_BACKOFF, "obstacle={}", j)
             if eps == 0:
                 # a zero-radius ball lands on the plane, which the next scan drops
                 continue
         gate[j] = -np.inf
-        if not state.gutter.append_row(j, A[j], b[j], geom_tol):
+        if not gutter.append_row(j, A[j], b[j], geom_tol):
             skipped.append(j)
             live[j] = -np.inf
             _emit(trace, state, EventKind.GUTTER_SKIP_DEGENERATE, "plane={}", j)
             continue
+        rows += 1
         if skipped:
             gate[skipped] = -0.0
             skipped.clear()
-        if state.gutter.size >= n:
+        if rows >= n:
             _emit(trace, state, EventKind.GUTTER_APPEND, "plane={}", j, stopped=True)
             continue
         if state.p0 is not d_at:
@@ -356,28 +375,25 @@ def resolve_constraint(lp: LinearProgram, state: SolverState, config: SolverConf
             d -= b
             d_at = state.p0
             d_i = float(d[i]) if own else float(a.dot(d_at)) - beta
-        state.gutter.deflate(proj)
+        gutter.deflate(proj)
         direction, _ = _slide_direction(proj, d_i, geom_tol, feas_tol, eps)
         if direction is None:
             _emit(trace, state, EventKind.GUTTER_APPEND, "plane={}", j, stopped=True)
             _emit(trace, state, EventKind.STALL, "no-slope", stopped=True)
             return ResolveOutcome.NO_SLOPE
         state.dir = direction
-        _emit(trace, state, EventKind.GUTTER_APPEND, "plane={}", j)
+        if trace is not None:
+            _emit(trace, state, EventKind.GUTTER_APPEND, "plane={}", j)
 
 
-def _advance(state: SolverState, t: float, trace: TraceSink) -> None:
-    """Move the center t along the current direction, always to a new array.
+def _trace_move(trace: TraceSink, state: SolverState, moved_from: np.ndarray, t: float) -> None:
+    """Emit a MOVE event for a move of t from moved_from to state.p0 that changed some coordinate.
 
-    With a trace sink, a MOVE event is emitted when some coordinate changed;
-    only that event needs the elementwise comparison, so an untraced solve
-    skips it. The center is the same either way, so tracing changes no
-    result.
+    The solver moves the center with the same expression whether traced or
+    not, and only a traced solve calls this, so the elementwise comparison
+    costs an untraced step nothing and tracing changes no result.
     """
-    moved = state.p0 + t * state.dir
-    changed = trace is not None and np.logical_or.reduce(moved != state.p0)
-    state.p0 = moved
-    if changed:
+    if np.logical_or.reduce(state.p0 != moved_from):
         _emit(trace, state, EventKind.MOVE, "advance t={:.9e}", t)
 
 
@@ -437,7 +453,14 @@ def repair_or_conclude(lp: LinearProgram, state: SolverState, config: SolverConf
 
 def _solve_feasibility_state(lp: LinearProgram, config: SolverConfig,
                              start, trace: TraceSink) -> tuple[SolveResult, SolverState]:
-    """Phase I on an already normalized program."""
+    """Phase I on an already normalized program.
+
+    Each cycle targets the most violated row that is not a pinned equality:
+    one argmin over d with +inf on the satisfied and pinned rows, ties going
+    to the lowest index. A least value of +inf means there is no such row,
+    and then the solve ends: FEASIBLE when every row is satisfied, STALLED
+    with "all violated constraints are pinned equalities" otherwise.
+    """
     diagnostics: list[str] = []
     # one basis serves the whole solve; every cycle re-pins it
     state = SolverState(p0=np.zeros(lp.dimension), epsilon=config.epsilon,
@@ -455,21 +478,20 @@ def _solve_feasibility_state(lp: LinearProgram, config: SolverConfig,
         if d is None:
             d = lp.A.dot(state.p0) - lp.b
         satisfied = lp.satisfied(d, config.feas_tol)
-        if np.logical_and.reduce(satisfied):
-            state.distances = d
-            return _result(Verdict.FEASIBLE, state, diagnostics, point=state.p0), state
-
-        violated = ~satisfied
+        pick = np.where(satisfied, np.inf, d)
         if state.pinned_eq:
-            violated[list(state.pinned_eq)] = False
-        if not np.logical_or.reduce(violated):
+            pick[list(state.pinned_eq)] = np.inf
+        target = int(pick.argmin())
+        distance = pick[target]
+        if distance == np.inf:
+            if np.logical_and.reduce(satisfied):
+                state.distances = d
+                return _result(Verdict.FEASIBLE, state, diagnostics, point=state.p0), state
             diagnostics.append("all violated constraints are pinned equalities")
             return _result(Verdict.STALLED, state, diagnostics), state
-        # the most violated row; argmin breaks ties by the lowest index
-        target = int(np.where(violated, d, np.inf).argmin())
         state.target_index = target
         _repin(state.gutter, lp, state.pinned_eq, config.geom_tol)
-        _emit(trace, state, EventKind.SELECT_TARGET, "target={} distance={:.9e}", target, d[target],
+        _emit(trace, state, EventKind.SELECT_TARGET, "target={} distance={:.9e}", target, distance,
               stopped=True)
 
         outcome = resolve_constraint(lp, state, config, trace, d, satisfied)

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from gutterlp import cli
+from gutterlp import cli, solve_feasibility
 from gutterlp.model import Sense, Verdict, check_point
 from gutterlp import testkit
 
@@ -136,6 +136,30 @@ class TestSolveCommand:
         err = capsys.readouterr().err
         assert code == 65
         assert err.startswith("error: ") and "UTF-8" in err and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("command", ["solve", "oracle"])
+    def test_utf8_byte_order_mark_is_skipped(self, command, tmp_path, capsys):
+        path = tmp_path / "bom.lp"
+        path.write_bytes(b"\xef\xbb\xbfvars 1\nc 1 >= 0\n")
+        code = cli.main([command, str(path)])
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        assert json.loads(captured.out)["verdict"] == "FEASIBLE"
+
+    def test_all_violated_rows_pinned_equalities_stall(self, tmp_path, capsys):
+        # two equality planes 5e-8 apart: consistent to the projection's 10 * feas_tol,
+        # but the projection leaves row 1 violated, and phase I pins every equality
+        text = "vars 2\nc 1 0 = 1\nc 1 0 = 1.00000005\nc 0 1 >= -5\n"
+        path = tmp_path / "pinned.lp"
+        path.write_text(text)
+        code = cli.main(["solve", str(path)])
+        record = json.loads(capsys.readouterr().out)
+        assert code == 3
+        assert record["verdict"] == "STALLED" and record["iterations"] == 0
+        assert record["diagnostics"] == ["all violated constraints are pinned equalities"]
+        result = solve_feasibility(cli.parse_lp(text))
+        assert result.verdict is Verdict.STALLED and result.iterations == 0
+        assert result.diagnostics == ("all violated constraints are pinned equalities",)
 
     def test_trace_jsonl(self, tmp_path, capsys):
         path = tmp_path / "two.lp"
