@@ -18,7 +18,6 @@ from .model import (
     check_point,
     normalize,
 )
-from .geometry import project_onto_intersection
 from .gram import DuplicateIndexError, GutterBasis
 from .solver import (
     EventKind,
@@ -53,7 +52,6 @@ __all__ = [
     "check_point",
     "initial_point",
     "normalize",
-    "project_onto_intersection",
     "repair_or_conclude",
     "resolve_constraint",
     "solve_feasibility",

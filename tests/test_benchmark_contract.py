@@ -20,9 +20,11 @@ from gutterlp import cli, testkit
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import layers  # noqa: E402
 
-# gone since the array-native core; layers.TARGETS still names them, and the
-# traced run reports them as absent until the benchmark drops them
-EXPECTED_ABSENT = {"geometry.signed_distance", "geometry.Ray", "model.Constraint"}
+# gone from the package (the projection is GutterBasis.project now); layers.TARGETS
+# still names them, and the traced run reports them as absent until the benchmark
+# drops them
+EXPECTED_ABSENT = {"geometry.signed_distance", "geometry.Ray", "geometry.project_onto_intersection",
+                   "model.Constraint"}
 
 
 def test_top_level_names():

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from gutterlp.geometry import project_onto_intersection
+from gutterlp import testkit
 from gutterlp.gram import GutterBasis
 from gutterlp.model import DimensionMismatchError, LinearProgram, Sense, SolverConfig, check_point, normalize
 from gutterlp.solver import EventKind, SolverState, resolve_constraint, solve_feasibility
@@ -158,19 +158,22 @@ class TestFirstObstacle:
 
 
 class TestProjection:
+    """GutterBasis.project lands on the planes; a prescribed signed distance t_k to plane k is
+    a projection onto the shifted offset h_k + t_k, checked against the dense KKT oracle."""
+
     def test_single_plane(self):
         basis = basis_of([(np.array([1.0, 0.0]), 1.0)], 2)
-        assert np.allclose(project_onto_intersection(basis, [0.0, 0.0], [0.0]), [1.0, 0.0])
+        assert np.allclose(basis.project(np.zeros(2)), [1.0, 0.0])
 
     def test_axis_intersection(self):
         basis = basis_of([([0.0, 1.0, 0.0], 0.0), ([0.0, 0.0, 1.0], 0.0)], 3)
-        q = project_onto_intersection(basis, [1.0, 2.0, 3.0], [0.0, 0.0])
+        q = basis.project(np.array([1.0, 2.0, 3.0]))
         assert np.allclose(q, [1.0, 0.0, 0.0])
 
     def test_offset_target(self):
-        basis = basis_of([([1.0, 0.0], 1.0)], 2)
-        q = project_onto_intersection(basis, [0.0, 0.0], [0.5])
-        assert np.allclose(q, [1.5, 0.0])
+        # signed distance 0.5 from the plane x = 1 is the plane x = 1.5
+        basis = basis_of([([1.0, 0.0], 1.0 + 0.5)], 2)
+        assert np.allclose(basis.project(np.zeros(2)), [1.5, 0.0])
 
     def test_idempotent(self):
         rng = np.random.default_rng(21)
@@ -179,14 +182,13 @@ class TestProjection:
             t = int(rng.integers(1, n))
             rows = rng.standard_normal((t, n))
             rows /= np.linalg.norm(rows, axis=1)[:, None]
+            targets = rng.uniform(-0.5, 0.5, t)
             basis = GutterBasis(n)
             for k in range(t):
-                if not basis.append_row(k, rows[k], float(rng.uniform(-1, 1))):
-                    continue
-            targets = rng.uniform(-0.5, 0.5, basis.size)
+                basis.append_row(k, rows[k], float(rng.uniform(-1, 1)) + float(targets[k]))
             p = rng.standard_normal(n)
-            q1 = project_onto_intersection(basis, p, targets)
-            q2 = project_onto_intersection(basis, q1, targets)
+            q1 = basis.project(p)
+            q2 = basis.project(q1)
             assert np.linalg.norm(q2 - q1) <= 1e-12
 
     def test_targets_achieved(self):
@@ -196,14 +198,15 @@ class TestProjection:
             t = int(rng.integers(1, n))
             rows = rng.standard_normal((t, n))
             rows /= np.linalg.norm(rows, axis=1)[:, None]
+            offsets = rng.uniform(-1, 1, t)
+            targets = rng.uniform(-0.5, 0.5, t)
             basis = GutterBasis(n)
             for k in range(t):
-                basis.append_row(k, rows[k], float(rng.uniform(-1, 1)))
-            targets = rng.uniform(-0.5, 0.5, basis.size)
+                assert basis.append_row(k, rows[k], float(offsets[k] + targets[k]))
             p = rng.standard_normal(n)
-            q = project_onto_intersection(basis, p, targets)
-            achieved = basis.normals_matrix() @ q - basis.offsets_vector()
-            assert np.max(np.abs(achieved - targets)) <= 1e-9
+            q = basis.project(p)
+            assert np.max(np.abs(rows @ q - offsets - targets)) <= 1e-9
+            assert np.max(np.abs(q - testkit.oracle_projection(rows, offsets, p, targets))) <= 1e-8
 
     def test_correction_in_row_space(self):
         # the displacement p - q must be orthogonal to the intersection directions
@@ -220,7 +223,7 @@ class TestProjection:
             _, _, vh = np.linalg.svd(G)
             null_space = vh[basis.size:]
             p = rng.standard_normal(n)
-            q = project_onto_intersection(basis, p, np.zeros(basis.size))
+            q = basis.project(p)
             shift = p - q
             for w in null_space:
                 bound = 1e-9 * max(np.linalg.norm(shift) * np.linalg.norm(w), 1e-30)
@@ -229,4 +232,5 @@ class TestProjection:
     def test_empty_basis_is_identity(self):
         basis = GutterBasis(3)
         p = np.array([1.0, 2.0, 3.0])
-        assert np.allclose(project_onto_intersection(basis, p, []), p)
+        q = basis.project(p)
+        assert np.array_equal(q, p) and q is not p

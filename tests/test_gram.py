@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gutterlp.geometry import project_onto_intersection
 from gutterlp.gram import DuplicateIndexError, GutterBasis
 from gutterlp.model import DimensionMismatchError
 
@@ -149,22 +148,6 @@ class TestIncrementalEquivalence:
             dependent = unit(weights @ basis.normals_matrix())
             probe = basis.copy()
             assert not probe.append_row(98, dependent)
-
-    def test_correction_matches_projection_displacement(self):
-        rng = np.random.default_rng(45)
-        for _ in range(40):
-            n = int(rng.integers(2, 9))
-            t = int(rng.integers(1, n))
-            rows = random_unit_rows(rng, t, n)
-            offsets = rng.uniform(-1, 1, t)
-            basis = GutterBasis(n)
-            for k in range(t):
-                basis.append_row(k, rows[k], float(offsets[k]))
-            p = rng.standard_normal(n)
-            residuals = basis.normals_matrix() @ p - basis.offsets_vector()
-            via_correction = p - basis.correction(residuals)
-            via_projection = project_onto_intersection(basis, p, np.zeros(t))
-            assert np.max(np.abs(via_correction - via_projection)) <= 1e-12
 
 
 COEFFICIENT = st.floats(-1.0, 1.0, allow_nan=False)

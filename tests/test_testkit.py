@@ -4,7 +4,6 @@ import math
 import numpy as np
 import pytest
 
-from gutterlp.geometry import project_onto_intersection
 from gutterlp.gram import GutterBasis
 from gutterlp.model import (
     Direction,
@@ -90,23 +89,6 @@ class TestOracleProjection:
         with pytest.raises(testkit.RankDeficientError):
             testkit.oracle_projection(np.array([[1.0, 0.0], [1.0, 0.0]]),
                                       [0.0, 0.0], [0.0, 0.0], [0.0, 0.0])
-
-    def test_agrees_with_incremental_path(self):
-        rng = np.random.default_rng(17)
-        for _ in range(100):
-            n = int(rng.integers(2, 9))
-            t = int(rng.integers(1, n))
-            rows = rng.standard_normal((t, n))
-            rows /= np.linalg.norm(rows, axis=1)[:, None]
-            offsets = rng.uniform(-1, 1, t)
-            targets = rng.uniform(-0.5, 0.5, t)
-            p = rng.standard_normal(n)
-            basis = GutterBasis(n)
-            for k in range(t):
-                assert basis.append_row(k, rows[k], float(offsets[k]))
-            q_fast = project_onto_intersection(basis, p, targets)
-            q_true = testkit.oracle_projection(rows, offsets, p, targets)
-            assert np.max(np.abs(q_fast - q_true)) <= 1e-8
 
 
 class TestGenerators:
