@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
+import stat
 import sys
 import time
 from contextlib import ExitStack
@@ -226,8 +228,15 @@ def _build_config(args) -> SolverConfig:
     return SolverConfig(**kwargs)
 
 
-def _open_output(outputs: ExitStack, path: Optional[str]):
-    return outputs.enter_context(open(path, "w", encoding="utf-8")) if path else None
+def _open_outputs(outputs: ExitStack, *paths: Optional[str]) -> list:
+    """One file per path (None for none), truncated only once all are open, so a failed open
+    leaves every existing output as it was; a device or pipe is never truncated."""
+    files = [outputs.enter_context(open(path, "a", encoding="utf-8")) if path else None
+             for path in paths]
+    for handle in files:
+        if handle is not None and stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
+            handle.truncate(0)
+    return files
 
 
 def run_solve(args) -> int:
@@ -276,8 +285,7 @@ def run_solve(args) -> int:
     with ExitStack() as outputs:
         # both outputs are opened before solving, so a bad path costs no solve
         try:
-            trace_file = _open_output(outputs, args.trace)
-            svg_file = _open_output(outputs, args.svg)
+            trace_file, svg_file = _open_outputs(outputs, args.trace, args.svg)
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_CANTCREAT
@@ -327,8 +335,7 @@ def run_gen(args) -> int:
     with ExitStack() as outputs:
         # a bad size is reported before any file exists, a bad path before either is written
         try:
-            lp_file = _open_output(outputs, args.output)
-            cert_file = _open_output(outputs, args.output + ".cert.json")
+            lp_file, cert_file = _open_outputs(outputs, args.output, args.output + ".cert.json")
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_CANTCREAT
@@ -511,9 +518,13 @@ def render_svg(lp: LinearProgram, trajectory: list[np.ndarray],
         f'<rect width="{size}" height="{size}" fill="white"/>',
     ]
 
+    on_line = 1e-9 * max(1.0, span)   # distance that counts as on a constraint line
     feasible_poly = list(corners)
-    for normal, offset in zip(lp.A, lp.b):
+    for normal, offset, sense in zip(lp.A, lp.b, lp.senses):
         feasible_poly = _clip_halfplane(feasible_poly, normal, offset)
+        if sense is Sense.EQ:
+            # the other side too, keeping the vertices that rounding puts just past the line
+            feasible_poly = _clip_halfplane(feasible_poly, -normal, -offset - on_line)
     if feasible_poly:
         pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in (to_px(p) for p in feasible_poly))
         parts.append(f'<polygon points="{pts}" fill="rgb(70,160,90)" fill-opacity="0.25"/>')
@@ -523,7 +534,7 @@ def render_svg(lp: LinearProgram, trajectory: list[np.ndarray],
         if half:
             pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in (to_px(p) for p in half))
             parts.append(f'<polygon points="{pts}" fill="rgb(90,120,200)" fill-opacity="0.05"/>')
-        boundary = [p for p in half if abs(float(normal @ p - offset)) < 1e-9 * max(1.0, span)]
+        boundary = [p for p in half if abs(float(normal @ p - offset)) < on_line]
         if len(boundary) >= 2:
             (x1, y1), (x2, y2) = to_px(boundary[0]), to_px(boundary[1])
             parts.append(

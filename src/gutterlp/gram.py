@@ -1,7 +1,7 @@
 """Active-plane basis held as orthonormal rows: G = R Q, with R^-1 built when it is read.
 
-Rows only ever get appended within a resolve cycle, and the solver holds one
-basis per solve and reset()s it at the start of every cycle. An append is one
+Rows are only ever appended, until reset() empties the basis; the solver
+re-pins its gutter basis at the start of each resolve cycle. An append is one
 Gram-Schmidt step: the new unit row a is projected off the orthonormal rows Q
 already held, and what is left, normalized, becomes the next row of Q. Its
 coefficients against Q extend the lower-triangular R (G = R Q) by a row, in
@@ -9,9 +9,9 @@ O(t n). A second projection pass runs only when the first one cancelled more
 than half of |a|^2; two passes leave Q orthonormal to rounding level ("twice
 is enough": Giraud, Langou & Rozlozník 2005).
 
-The inner step reads only Q, through tangent() and deflate(); R^-1 is needed
-only by correction(), multipliers() and gram_inverse, which the solver calls
-at the end of a cycle. So R^-1 is extended on read, one row per appended row
+The inner step reads only Q, through tangent() and deflate(). R^-1 is read by
+correction() (so by project()), multipliers() and gram_inverse, the last only
+by the tests. So R^-1 is extended on read, one row per appended row
 not yet built, by the forward-substitution recurrence
 R^-1[k, :k] = R[k, :k] R^-1[:k, :k] / -R[k, k] and R^-1[k, k] = 1 / R[k, k].
 The rows built are the same whenever they are read.
@@ -20,6 +20,7 @@ Every product the solver needs comes from Q and R^-1 without forming G G^T,
 whose condition number is that of G squared:
 - tangent(v) = v - Q^T (Q v), the part of v parallel to every plane;
 - correction(r) = G^T (G G^T)^-1 r = Q^T (R^-1 r);
+- project(p) = p - correction(G p - h), the point nearest to p on every plane;
 - multipliers(a) = -(G G^T)^-1 G a = -R^-T (Q a).
 
 Rows, offsets, Q, R and R^-1 live in buffers allocated once per basis (n x n,
@@ -56,14 +57,10 @@ class GutterBasis:
         self._indices: list[int] = []
         self._built = 0
         n = self.dimension
-        self._use(np.zeros((n, n)), np.zeros(n), np.zeros((n, n)), np.zeros((n, n)),
-                  np.zeros((n, n)))
-
-    def _use(self, normals: np.ndarray, offsets: np.ndarray, q: np.ndarray, r: np.ndarray,
-             r_inv: np.ndarray) -> None:
-        """Take the buffers, with one read-only view of the rows and offsets that the accessors slice."""
-        self._normals, self._offsets, self._q, self._r, self._r_inv = normals, offsets, q, r, r_inv
-        self._normals_view, self._offsets_view = normals.view(), offsets.view()
+        self._normals, self._offsets = np.zeros((n, n)), np.zeros(n)
+        self._q, self._r, self._r_inv = np.zeros((n, n)), np.zeros((n, n)), np.zeros((n, n))
+        # one read-only view of the rows and offsets, which the accessors slice
+        self._normals_view, self._offsets_view = self._normals.view(), self._offsets.view()
         self._normals_view.setflags(write=False)
         self._offsets_view.setflags(write=False)
 
@@ -188,7 +185,7 @@ class GutterBasis:
         return self._r_inverse().dot(r).dot(self._q[:t])
 
     def project(self, p) -> np.ndarray:
-        """p - correction(G p - h): the point nearest to p on every plane of the basis; a copy of p for an empty basis."""
+        """p - correction(G p - h): the point nearest to p on every plane; a copy of p when empty."""
         t = len(self._indices)
         return p - self.correction(self._normals[:t].dot(p) - self._offsets[:t])
 
@@ -206,11 +203,3 @@ class GutterBasis:
         """Empty the basis; the buffers are kept for the next rows."""
         self._indices.clear()
         self._built = 0
-
-    def copy(self) -> "GutterBasis":
-        dup = GutterBasis(self.dimension)
-        dup._indices = list(self._indices)
-        dup._built = self._built
-        dup._use(self._normals.copy(), self._offsets.copy(), self._q.copy(), self._r.copy(),
-                 self._r_inv.copy())
-        return dup

@@ -461,7 +461,7 @@ def _solve_feasibility_state(lp: LinearProgram, config: SolverConfig,
     with "all violated constraints are pinned equalities" otherwise.
     """
     diagnostics: list[str] = []
-    # one basis serves the whole solve; every cycle re-pins it
+    # one basis serves every resolve cycle; _project_onto_planes builds its own
     state = SolverState(p0=np.zeros(lp.dimension), epsilon=config.epsilon,
                         gutter=GutterBasis(lp.dimension),
                         pinned_eq=set(lp.eq_rows.tolist()))
@@ -589,9 +589,9 @@ def solve_optimum(lp: LinearProgram, config: Optional[SolverConfig] = None,
       last slide direction is a recession ray (no inequality row has
       A dir < -geom_tol, every equality row has |A dir| <= geom_tol), and
       "no plane stops the objective walk" otherwise.
-    An unproven stall keeps its feasible gutter vertex as a candidate and
-    retries from the center with a fresh gutter; a stall that repeats without
-    objective progress ends the search with the best one.
+    An unproven stall, or the inner cap, retries from the center with a fresh
+    gutter. A stall that repeats without objective progress, or the outer cap,
+    ends the search STALLED with "no optimality proof (<outcome>)".
     """
     if lp.objective is None:
         raise ValueError("solve_optimum requires an objective")
@@ -617,10 +617,7 @@ def solve_optimum(lp: LinearProgram, config: Optional[SolverConfig] = None,
                        objective_value=float(c.dot(state.p0)))
     c_hat = work_c / norm_c
 
-    best_point: Optional[np.ndarray] = None
-    best_height = -math.inf
     last_stall_height: Optional[float] = None
-    last_detail = ""
     # phase I's last distances hold at the center until the first cycle moves it
     d = state.distances
 
@@ -640,31 +637,20 @@ def solve_optimum(lp: LinearProgram, config: Optional[SolverConfig] = None,
                 diagnostics.append("no plane stops the objective walk")
             return _result(Verdict.UNBOUNDED, state, diagnostics)
 
-        # a stall, a full gutter or the inner cap: take the gutter intersection
-        # as an optimum candidate, proven when its multipliers say so; otherwise
-        # retry from here with a fresh gutter, and a stall that repeats without
-        # objective progress is the stopping condition
-        last_detail = outcome.value
-        optimum = state.gutter.project(state.p0)
-        if check_point(lp, optimum, config.feas_tol):
-            if outcome in (ResolveOutcome.GUTTER_FULL, ResolveOutcome.NO_SLOPE) and \
+        # a stall is OPTIMAL at its gutter vertex when that vertex is feasible and
+        # its multipliers prove it; the inner cap leaves no vertex to test
+        if outcome is not ResolveOutcome.INNER_CAP:
+            optimum = state.gutter.project(state.p0)
+            if check_point(lp, optimum, config.feas_tol) and \
                     _kkt_optimal(lp, state.gutter, c_hat, config.geom_tol):
-                diagnostics.append(f"optimum at {last_detail}")
+                diagnostics.append(f"optimum at {outcome.value}")
                 return _result(Verdict.OPTIMAL, state, diagnostics, point=optimum,
                                objective_value=float(c.dot(optimum)))
-            height = float(c_hat.dot(optimum))
-            if height > best_height:
-                best_height = height
-                best_point = optimum
         stall_height = float(c_hat.dot(state.p0))
         if last_stall_height is not None and \
                 stall_height <= last_stall_height + 1e-9 * (1.0 + abs(stall_height)):
             break
         last_stall_height = stall_height
 
-    if best_point is not None:
-        diagnostics.append(f"optimum at {last_detail}")
-        return _result(Verdict.OPTIMAL, state, diagnostics, point=best_point,
-                       objective_value=float(c.dot(best_point)))
-    diagnostics.append(f"optimum extraction failed feasibility check ({last_detail})")
+    diagnostics.append(f"no optimality proof ({outcome.value})")
     return _result(Verdict.STALLED, state, diagnostics)

@@ -146,14 +146,13 @@ def test_criterion_02_incremental_inverse_equivalence():
             weights[0] = 1.0
         dependent = weights @ rows
         dependent /= np.linalg.norm(dependent)
-        probe = basis.copy()
-        assert not probe.append_row(500, dependent)
+        # a rejected append leaves the basis unchanged, so the fresh row probes it next
+        assert not basis.append_row(500, dependent)
         if t < n:
             fresh = rng.standard_normal(n)
             fresh /= np.linalg.norm(fresh)
             rank_ok = np.linalg.matrix_rank(np.vstack([rows, fresh]), tol=1e-8) == t + 1
-            probe = basis.copy()
-            assert probe.append_row(501, fresh) == rank_ok
+            assert basis.append_row(501, fresh) == rank_ok
     elapsed = time.perf_counter() - t0
     assert worst <= 1e-10, f"max inverse error {worst:.3e}"
     assert elapsed < 5.0, f"took {elapsed:.2f}s"

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -185,6 +186,19 @@ class TestSolveCommand:
         assert text.startswith("<svg")
         assert "polyline" in text
 
+    def test_svg_equality_row_shades_only_its_line(self, tmp_path, capsys):
+        path = tmp_path / "eq.lp"
+        svg_path = tmp_path / "out.svg"
+        path.write_text("vars 2\nc 1 1 = 1\nc 1 0 >= 0\nc 0 1 >= 0\n")
+        assert cli.main(["solve", str(path), "--svg", str(svg_path)]) == 0
+        capsys.readouterr()
+        shaded = re.search(r'<polygon points="([^"]*)" fill="rgb\(70,160,90\)"', svg_path.read_text())
+        pixels = np.array([[float(v) for v in pair.split(",")] for pair in shaded.group(1).split()])
+        # x + y = 1 is a line of constant px - py, and a vertex is printed to 0.01 px
+        along = pixels[:, 0] - pixels[:, 1]
+        assert np.ptp(along) <= 0.05
+        assert np.ptp(pixels[:, 0]) > 100.0
+
     @pytest.mark.parametrize("text", [
         "vars 2\nc nan 0 >= 1\n",
         "vars 2\nc 1 inf >= 1\n",
@@ -213,6 +227,16 @@ class TestSolveCommand:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
+
+    def test_unopenable_svg_leaves_the_trace_file_as_it_was(self, tmp_path, capsys):
+        path = tmp_path / "two.lp"
+        path.write_text(TWO_PLANE)
+        trace_path = tmp_path / "t.jsonl"
+        trace_path.write_text("kept\n")
+        code = cli.main(["solve", str(path), "--trace", str(trace_path), "--svg", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == 73 and captured.out == ""
+        assert trace_path.read_text() == "kept\n"
 
     @pytest.mark.parametrize("start", ["nan,1", "1,inf", "0,-inf"])
     def test_non_finite_start_is_a_usage_error(self, tmp_path, capsys, start):
@@ -308,6 +332,24 @@ class TestGenOracleBench:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
+
+    def test_gen_unopenable_certificate_leaves_the_lp_file_as_it_was(self, tmp_path, capsys):
+        out = tmp_path / "x.lp"
+        out.write_text("kept\n")
+        (tmp_path / "x.lp.cert.json").mkdir()
+        code = cli.main(["gen", "--feasible", "-o", str(out)])
+        captured = capsys.readouterr()
+        assert code == 73 and captured.out == ""
+        assert out.read_text() == "kept\n"
+
+    def test_gen_overwrites_an_existing_file(self, tmp_path, capsys):
+        out = tmp_path / "x.lp"
+        out.write_text("old text longer than nothing\n" * 100)
+        (tmp_path / "x.lp.cert.json").write_text("old\n" * 100)
+        assert cli.main(["gen", "--feasible", "-n", "2", "-m", "3", "-o", str(out)]) == 0
+        capsys.readouterr()
+        assert cli.parse_lp(out.read_text()).num_constraints == 3
+        assert json.loads((tmp_path / "x.lp.cert.json").read_text())
 
     @pytest.mark.parametrize("slack", ["nan", "inf", "0"])
     def test_gen_bad_slack_is_a_usage_error_and_writes_nothing(self, tmp_path, capsys, slack):

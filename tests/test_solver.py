@@ -466,6 +466,23 @@ class TestPhaseTwoStops:
         assert events[-1].kind is EventKind.STALL and events[-1].detail == "unbounded-ray"
         assert testkit.oracle_solve(lp).verdict is Verdict.UNBOUNDED
 
+    def test_stall_without_a_proof_is_stalled(self):
+        # optimize/3x8/10 of tests/test_equivalence.py: no stall's gutter vertex passes
+        # the KKT test, and the best feasible one met (-0.31992) is not the optimum
+        seed, n = 10, 3
+        base = testkit.gen_feasible(n, 8, 0.1, seed).lp
+        rng = np.random.default_rng((seed, n, 7))
+        direction = Direction.MAX if rng.random() < 0.5 else Direction.MIN
+        lp = LinearProgram.from_arrays(base.A, base.b,
+                                       objective=Objective(direction, rng.standard_normal(n)))
+        result = solve_optimum(lp, SolverConfig())
+        assert result.verdict is Verdict.STALLED
+        assert result.diagnostics == ("no optimality proof (gutter-full)",)
+        assert result.point is None and result.objective_value is None
+        oracle = testkit.oracle_solve(lp)
+        assert oracle.verdict is Verdict.OPTIMAL
+        assert oracle.value == pytest.approx(-0.38419, abs=1e-5)
+
 
 class TestTraceInvariants:
     def test_random_feasible_traces_clean(self):
