@@ -11,16 +11,15 @@ only ever sees {>=, >, =}.
 """
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import re
 import stat
 import sys
 import time
-from contextlib import ExitStack
+from contextlib import ExitStack, suppress
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
@@ -37,7 +36,11 @@ from .model import (
     normalize,
 )
 from .solver import TraceEvent, solve_feasibility, solve_optimum
-from . import testkit
+
+# testkit (used by gen, oracle and bench) and argparse (by build_parser) are
+# imported where they are used, so importing this module for parse_lp loads neither
+if TYPE_CHECKING:
+    import argparse
 
 EXIT_FEASIBLE = 0
 EXIT_INFEASIBLE = 1
@@ -229,10 +232,30 @@ def _build_config(args) -> SolverConfig:
 
 
 def _open_outputs(outputs: ExitStack, *paths: Optional[str]) -> list:
-    """One file per path (None for none), truncated only once all are open, so a failed open
-    leaves every existing output as it was; a device or pipe is never truncated."""
-    files = [outputs.enter_context(open(path, "a", encoding="utf-8")) if path else None
-             for path in paths]
+    """One file per path (None for none), truncated only once all are open; a device or pipe
+    is never truncated. When an open fails, the files this call created are closed and
+    removed and the OSError propagates, so every output that existed is left as it was
+    and no new one is left behind."""
+    files, created = [], []
+    try:
+        for path in paths:
+            if not path:
+                files.append(None)
+                continue
+            try:
+                handle = outputs.enter_context(open(path, "x", encoding="utf-8"))
+                created.append(path)
+            except FileExistsError:
+                handle = outputs.enter_context(open(path, "a", encoding="utf-8"))
+            files.append(handle)
+    except OSError:
+        for handle in files:
+            if handle is not None:
+                handle.close()
+        for path in created:
+            with suppress(OSError):
+                os.remove(path)
+        raise
     for handle in files:
         if handle is not None and stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
             handle.truncate(0)
@@ -348,6 +371,7 @@ def run_gen(args) -> int:
 
 def _generate(args):
     """The instance `gen` asked for and its certificate record; ValueError on bad sizes."""
+    from . import testkit
     if args.feasible:
         instance = testkit.gen_feasible(args.n, args.m, args.slack, args.seed)
         return instance, {
@@ -366,6 +390,7 @@ def _generate(args):
 
 
 def run_oracle(args) -> int:
+    from . import testkit
     try:
         text = _read_file(args.file)
     except OSError as exc:
@@ -400,6 +425,7 @@ def _parse_seed_range(spec: str) -> list[int]:
 
 
 def run_bench(args) -> int:
+    from . import testkit
     if args.feasible == args.infeasible:
         print("error: choose exactly one of --feasible/--infeasible", file=sys.stderr)
         return EXIT_USAGE
@@ -527,7 +553,9 @@ def render_svg(lp: LinearProgram, trajectory: list[np.ndarray],
             feasible_poly = _clip_halfplane(feasible_poly, -normal, -offset - on_line)
     if feasible_poly:
         pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in (to_px(p) for p in feasible_poly))
-        parts.append(f'<polygon points="{pts}" fill="rgb(70,160,90)" fill-opacity="0.25"/>')
+        # the stroke shows a feasible set of zero area, such as a segment of an EQ line
+        parts.append(f'<polygon points="{pts}" fill="rgb(70,160,90)" fill-opacity="0.25" '
+                     f'stroke="rgb(70,160,90)" stroke-width="1.5"/>')
 
     for idx, (normal, offset) in enumerate(zip(lp.A, lp.b)):
         half = _clip_halfplane(list(corners), normal, offset)
@@ -570,6 +598,7 @@ def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
     parser = argparse.ArgumentParser(prog="gutterlp",
                                      description="Geometric direction-search LP solver")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -38,6 +38,10 @@ import numpy as np
 from .model import DimensionMismatchError
 
 
+# the native float64 dtype, the one np.asarray(x, dtype=float) returns
+_FLOAT = np.dtype(float)
+
+
 class DuplicateIndexError(ValueError):
     pass
 
@@ -100,19 +104,28 @@ class GutterBasis:
     def append_row(self, index: int, normal, offset: float = 0.0, geom_tol: float = 1e-9) -> bool:
         """Append one unit row: one Gram-Schmidt step, a second only after cancellation.
 
-        Returns False (leaving the basis unchanged) when the squared residual
-        of the normal against the span of the rows, pi = |a - Q^T Q a|^2, is
-        at most geom_tol, i.e. the new normal is linearly dependent on the
-        existing rows. In exact arithmetic pi is the Schur pivot
+        Returns False (leaving the basis's rows unchanged) when the squared
+        residual of the normal against the span of the rows,
+        pi = |a - Q^T Q a|^2, is at most geom_tol, i.e. the new normal is
+        linearly dependent on the existing rows. In exact arithmetic pi is the Schur pivot
         |a|^2 - w^T (G G^T)^-1 w of G G^T bordered by w = G a. A dependent
         row is a signal for the caller, not an error. An accepted row writes
         its normalized residual into Q and its coefficients (Q a, sqrt(pi))
         into R; R^-1 gains the row when it is next read.
+
+        A normal that is a 1-D float64 ndarray (the solver passes rows of
+        lp.A) is used as it is; anything else, a list, an int row or a (1, n)
+        array, is converted to a flat float array first. Either way the
+        duplicate-index, length and unit-norm checks run, and the normal is
+        only read.
         """
         index = int(index)
         if index in self._indices:
             raise DuplicateIndexError(f"constraint {index} is already in the basis")
-        a = np.asarray(normal, dtype=float).reshape(-1)
+        if type(normal) is np.ndarray and normal.ndim == 1 and normal.dtype is _FLOAT:
+            a = normal
+        else:
+            a = np.asarray(normal, dtype=float).reshape(-1)
         if a.shape[0] != self.dimension:
             raise DimensionMismatchError(
                 f"normal has length {a.shape[0]}, expected {self.dimension}"
@@ -124,12 +137,15 @@ class GutterBasis:
         if t == self.dimension:
             return False
 
+        # w and u are written straight into row t of R and Q, which is not part
+        # of the basis until the row is accepted
+        q_row, r_row = self._q[t], self._r[t]
         if t == 0:
-            u, w, pi = a, None, norm2
+            u, pi = a, norm2
         else:
             q = self._q[:t]
-            w = q.dot(a)
-            u = a - w.dot(q)
+            w = q.dot(a, out=r_row[:t])
+            u = np.subtract(a, w.dot(q), out=q_row)
             pi = float(u.dot(u))
             if pi < 0.5 * norm2:
                 w2 = q.dot(u)
@@ -139,10 +155,8 @@ class GutterBasis:
         if pi <= geom_tol:
             return False
         rho = math.sqrt(pi)
-        np.divide(u, rho, out=self._q[t])
-        if t:
-            self._r[t, :t] = w
-        self._r[t, t] = rho
+        np.divide(u, rho, out=q_row)
+        r_row[t] = rho
 
         self._indices.append(index)
         self._normals[t] = a

@@ -186,19 +186,33 @@ class LinearProgram:
 # Above this, squaring a coefficient comes within a factor 1e8 of overflow, so
 # a sum of squares is taken after scaling by the largest coefficient.
 HUGE_COEFFICIENT = 1e150
+_HUGE_SQUARE = HUGE_COEFFICIENT * HUGE_COEFFICIENT
 
 # A unit row's norm is 1 to within a few units in the last place, so normalize's
 # zero-normal test cannot reject a row of a program it returned below this geom_tol.
 _UNIT_NORM_FLOOR = 0.5
 
 
+@np.errstate(over="ignore")
+def _row_squares(A: np.ndarray) -> np.ndarray:
+    """Each row's sum of squares, inf for a row with a coefficient above about 1.3e154.
+
+    Such a row takes normalize's scaled path, so its overflow is expected and
+    not warned about; errstate as a decorator costs half what a with block does.
+    """
+    return np.add.reduce(A * A, axis=1)
+
+
 def normalize(lp: LinearProgram, geom_tol: float = 1e-9) -> LinearProgram:
     """Rescale every row so its normal has unit Euclidean norm.
 
     The satisfaction set of each row is unchanged (both sides are divided by
-    a positive number). A row with a coefficient above HUGE_COEFFICIENT is
-    scaled by its largest |a_j| before its squares are summed, so its norm
-    does not overflow. A program that normalize returned comes back as it
+    a positive number). The row sums of squares are taken first, and only
+    when one reaches HUGE_COEFFICIENT**2 is A scanned for a coefficient
+    above HUGE_COEFFICIENT. A row holding one is scaled by its largest |a_j|
+    before its squares are summed, so its norm does not overflow; every
+    other row's norm is the square root of its sum of squares, the bits of
+    np.linalg.norm. A program that normalize returned comes back as it
     is, so normalizing twice gives the bits of normalizing once; a second
     division would move the last bit of some rows. Only at geom_tol >= 0.5,
     where the zero-normal test could reject a unit row, is it divided again,
@@ -207,7 +221,12 @@ def normalize(lp: LinearProgram, geom_tol: float = 1e-9) -> LinearProgram:
     if lp._normalized and geom_tol < _UNIT_NORM_FLOOR:
         return lp
     A = lp.A
-    if np.maximum.reduce(np.abs(A), axis=None) > HUGE_COEFFICIENT:
+    squares = _row_squares(A)
+    # a coefficient above HUGE_COEFFICIENT has a square of at least
+    # HUGE_COEFFICIENT**2 (rounding is monotonic), and so has its row's sum of
+    # squares, so the m x n scan for one runs only when some row sum is that large
+    if np.maximum.reduce(squares) >= _HUGE_SQUARE and \
+            np.maximum.reduce(np.abs(A), axis=None) > HUGE_COEFFICIENT:
         # the sum of squares of such a row can overflow to inf, and dividing by
         # it would wipe the row out: its norm is s |a / s|, s its largest |a_j|;
         # the other rows are divided by 1 and multiplied by 1, which is exact
@@ -217,10 +236,9 @@ def normalize(lp: LinearProgram, geom_tol: float = 1e-9) -> LinearProgram:
         norms = np.sqrt(np.add.reduce(scaled * scaled, axis=1)) * scale
     else:
         # the expression np.linalg.norm(A, axis=1) evaluates, without its wrapper
-        norms = np.sqrt(np.add.reduce(A * A, axis=1))
-    short = norms <= geom_tol
-    if np.logical_or.reduce(short):
-        raise ZeroNormalError(int(short.argmax()))
+        norms = np.sqrt(squares)
+    if np.minimum.reduce(norms) <= geom_tol:
+        raise ZeroNormalError(int((norms <= geom_tol).argmax()))
     # the arrays are valid by construction, so the new program wraps them unchecked
     unit = object.__new__(LinearProgram)
     unit._store(A / norms[:, None], lp.b / norms, lp.senses, lp.objective, lp.gt_rows,

@@ -242,9 +242,18 @@ def resolve_constraint(lp: LinearProgram, state: SolverState, config: SolverConf
     the first open plane the ball crosses (A dir < 0) on the way. Every hit
     time is at least the scan's least one, t_first, so that minimum is taken
     only for a landing beyond t_first. Traced and untraced solves move the
-    center by the same expression, state.p0 + t * state.dir; the MOVE test
-    (_trace_move) and the per-step events run only with a trace sink, so
-    tracing changes no result.
+    center by the same expression, p0 + t * dir; the MOVE test (_trace_move)
+    and the per-step events run only with a trace sink, so tracing changes
+    no result.
+
+    A step allocates no array of length m. The distances, A dir, live and t
+    go into buffers allocated once per cycle, with a bool mask for the
+    compares against geom_tol, held as a 0-d array so that no compare
+    converts a Python float. A cycle that returns RESOLVED leaves its
+    distances buffer in state.distances, and the next cycle allocates its
+    own, so those distances stay valid. The center, the direction and the
+    inner-step count are locals, written to state before every return and,
+    on a traced solve, before every event.
     """
     A, b = lp.A, lp.b
     m, n = A.shape
@@ -258,12 +267,13 @@ def resolve_constraint(lp: LinearProgram, state: SolverState, config: SolverConf
     geom_tol = config.geom_tol
     feas_tol = config.feas_tol
 
+    p0 = state.p0
     if d is None:
-        d = A.dot(state.p0) - b
-    d_at = state.p0
+        d = A.dot(p0) - b
+    d_at = p0
     # a row of lp reads its distance and slope from lp's matvecs, which can
     # differ from a 1-D dot product in the last bit
-    d_i = float(d[i]) if own else float(a.dot(d_at)) - beta
+    d_i = float(d[i]) if own else float(a.dot(p0)) - beta
     if satisfied is None:
         satisfied = lp.satisfied(d, feas_tol)
     gutter = state.gutter
@@ -276,53 +286,65 @@ def resolve_constraint(lp: LinearProgram, state: SolverState, config: SolverConf
     if direction is None:
         _emit(trace, state, EventKind.STALL, "no-slope at cycle start", stopped=True)
         return ResolveOutcome.NO_SLOPE
-    state.dir = direction
+    # the step's buffers, filled in place; a ufunc's third argument is its out
+    distances, slope, live, t = np.empty(m), np.empty(m), np.empty(m), np.empty(m)
+    mask = np.empty(m, dtype=bool)
+    tol = np.array(geom_tol)
+    # the loop reads locals faster than module attributes
+    divide, less_equal, putmask = np.divide, np.less_equal, np.putmask
+    subtract, absolute, inf = np.subtract, np.absolute, math.inf
     scanned_dir = None
     skipped: list[int] = []
+    inner = state.inner_iter
     inner_cap = config.inner_cap(lp)
 
     while True:
-        if state.p0 is not d_at:
-            d = A.dot(state.p0)
+        if p0 is not d_at:
+            d = A.dot(p0, distances)
             d -= b
-            d_at = state.p0
-            d_i = float(d[i]) if own else float(a.dot(d_at)) - beta
+            d_at = p0
+            d_i = float(d[i]) if own else float(a.dot(p0)) - beta
         if d_i > feas_tol if strict else d_i >= -feas_tol:
             state.distances = d
-            _emit(trace, state, EventKind.RESOLVED, "target={}", i)
+            _emit_at(trace, state, p0, direction, inner, EventKind.RESOLVED, "target={}", i)
             return ResolveOutcome.RESOLVED
         if rows >= n:
-            _emit(trace, state, EventKind.GUTTER_FULL, "target={} rows={}", i, rows, stopped=True)
+            _emit_at(trace, state, p0, direction, inner, EventKind.GUTTER_FULL,
+                     "target={} rows={}", i, rows, stopped=True)
             return ResolveOutcome.GUTTER_FULL
 
-        state.inner_iter += 1
-        if state.inner_iter > inner_cap:
-            _emit(trace, state, EventKind.STALL, "inner-iteration-cap", stopped=True)
+        inner += 1
+        if inner > inner_cap:
+            _emit_at(trace, state, p0, direction, inner, EventKind.STALL, "inner-iteration-cap",
+                     stopped=True)
             return ResolveOutcome.INNER_CAP
 
-        if state.dir is not scanned_dir:
-            scanned_dir = state.dir
-            slope = A.dot(scanned_dir)
-            live = gate - slope
-            np.putmask(live, np.abs(slope) <= geom_tol, -np.inf)
-            slope_i = float(slope[i]) if own else float(a.dot(scanned_dir))
+        if direction is not scanned_dir:
+            scanned_dir = direction
+            A.dot(direction, slope)
+            subtract(gate, slope, live)
+            absolute(slope, t)
+            less_equal(t, tol, mask)
+            putmask(live, mask, -inf)
+            slope_i = float(slope[i]) if own else float(a.dot(direction))
             target_steep = abs(slope_i) > geom_tol
         # a violated target is hit at its plane; a strict target already on
         # its plane is hit at the epsilon standoff
-        t_i = np.inf
+        t_i = inf
         if target_steep:
             t_i = (-d_i if d_i < -feas_tol else eps - d_i) / slope_i
             if not t_i > geom_tol:
-                t_i = np.inf
+                t_i = inf
 
         # closed rows, the target from lp among them, divide by -inf and give
         # +-0, which the filter drops
-        t = d / live
-        np.putmask(t, t <= geom_tol, np.inf)
+        divide(d, live, t)
+        less_equal(t, tol, mask)
+        putmask(t, mask, inf)
         j = int(t.argmin())
         t_first = float(t[j])
-        if t_i == t_first == math.inf:
-            _emit(trace, state, EventKind.STALL, "unbounded-ray")
+        if t_i == t_first == inf:
+            _emit_at(trace, state, p0, direction, inner, EventKind.STALL, "unbounded-ray")
             return ResolveOutcome.UNBOUNDED_RAY
 
         if t_i < t_first or (t_i == t_first and i < j):
@@ -333,11 +355,12 @@ def resolve_constraint(lp: LinearProgram, state: SolverState, config: SolverConf
             if d_i < -feas_tol and eps > 0:
                 t_end += eps / slope_i
             if t_end > t_first:
-                t_end = min(t_end, np.minimum.reduce(t[slope < 0], initial=np.inf))
-            moved_from = state.p0
-            state.p0 = moved_from + t_end * state.dir
+                np.less(slope, 0.0, mask)
+                t_end = min(t_end, np.minimum.reduce(t, where=mask, initial=inf))
+            moved_from = p0
+            p0 = moved_from + t_end * direction
             if trace is not None:
-                _trace_move(trace, state, moved_from, t_end)
+                _trace_move(trace, state, p0, direction, inner, moved_from, t_end)
             continue
 
         # put the center at the epsilon standoff on the ray, never moving
@@ -346,54 +369,68 @@ def resolve_constraint(lp: LinearProgram, state: SolverState, config: SolverConf
         t_place = t_first - (eps / slope_j if eps > 0 else 0.0)
         far = float(d[j]) > eps + feas_tol
         if t_place > 0:
-            moved_from = state.p0
-            state.p0 = moved_from + t_place * state.dir
+            moved_from = p0
+            p0 = moved_from + t_place * direction
             if trace is not None:
-                _trace_move(trace, state, moved_from, t_place)
+                _trace_move(trace, state, p0, direction, inner, moved_from, t_place)
         if far:
             if trace is not None:
-                _emit(trace, state, EventKind.OBSTACLE_BACKOFF, "obstacle={}", j)
+                _emit_at(trace, state, p0, direction, inner, EventKind.OBSTACLE_BACKOFF,
+                         "obstacle={}", j)
             if eps == 0:
                 # a zero-radius ball lands on the plane, which the next scan drops
                 continue
-        gate[j] = -np.inf
+        gate[j] = -inf
         if not gutter.append_row(j, A[j], b[j], geom_tol):
             skipped.append(j)
-            live[j] = -np.inf
-            _emit(trace, state, EventKind.GUTTER_SKIP_DEGENERATE, "plane={}", j)
+            live[j] = -inf
+            if trace is not None:
+                _emit_at(trace, state, p0, direction, inner, EventKind.GUTTER_SKIP_DEGENERATE,
+                         "plane={}", j)
             continue
         rows += 1
         if skipped:
             gate[skipped] = -0.0
             skipped.clear()
         if rows >= n:
-            _emit(trace, state, EventKind.GUTTER_APPEND, "plane={}", j, stopped=True)
+            if trace is not None:
+                _emit_at(trace, state, p0, direction, inner, EventKind.GUTTER_APPEND,
+                         "plane={}", j, stopped=True)
             continue
-        if state.p0 is not d_at:
-            d = A.dot(state.p0)
+        if p0 is not d_at:
+            d = A.dot(p0, distances)
             d -= b
-            d_at = state.p0
-            d_i = float(d[i]) if own else float(a.dot(d_at)) - beta
+            d_at = p0
+            d_i = float(d[i]) if own else float(a.dot(p0)) - beta
         gutter.deflate(proj)
-        direction, _ = _slide_direction(proj, d_i, geom_tol, feas_tol, eps)
-        if direction is None:
-            _emit(trace, state, EventKind.GUTTER_APPEND, "plane={}", j, stopped=True)
+        turned, _ = _slide_direction(proj, d_i, geom_tol, feas_tol, eps)
+        if turned is None:
+            _emit_at(trace, state, p0, direction, inner, EventKind.GUTTER_APPEND, "plane={}", j,
+                     stopped=True)
             _emit(trace, state, EventKind.STALL, "no-slope", stopped=True)
             return ResolveOutcome.NO_SLOPE
-        state.dir = direction
+        direction = turned
         if trace is not None:
-            _emit(trace, state, EventKind.GUTTER_APPEND, "plane={}", j)
+            _emit_at(trace, state, p0, direction, inner, EventKind.GUTTER_APPEND, "plane={}", j)
 
 
-def _trace_move(trace: TraceSink, state: SolverState, moved_from: np.ndarray, t: float) -> None:
-    """Emit a MOVE event for a move of t from moved_from to state.p0 that changed some coordinate.
+def _emit_at(trace: TraceSink, state: SolverState, p0: np.ndarray, direction: np.ndarray,
+             inner: int, kind: EventKind, detail: str = "", *args, stopped: bool = False) -> None:
+    """Write resolve_constraint's center, direction and step count to state, then _emit."""
+    state.p0, state.dir, state.inner_iter = p0, direction, inner
+    _emit(trace, state, kind, detail, *args, stopped=stopped)
+
+
+def _trace_move(trace: TraceSink, state: SolverState, p0: np.ndarray, direction: np.ndarray,
+                inner: int, moved_from: np.ndarray, t: float) -> None:
+    """Emit a MOVE event for a move of t from moved_from to p0 that changed some coordinate.
 
     The solver moves the center with the same expression whether traced or
     not, and only a traced solve calls this, so the elementwise comparison
     costs an untraced step nothing and tracing changes no result.
     """
-    if np.logical_or.reduce(state.p0 != moved_from):
-        _emit(trace, state, EventKind.MOVE, "advance t={:.9e}", t)
+    if np.logical_or.reduce(p0 != moved_from):
+        _emit_at(trace, state, p0, direction, inner, EventKind.MOVE, "advance t={:.9e}", t)
 
 
 def repair_or_conclude(lp: LinearProgram, state: SolverState, config: SolverConfig,

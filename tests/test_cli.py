@@ -1,9 +1,14 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gutterlp
 from gutterlp import cli, solve_feasibility
 from gutterlp.model import Sense, Verdict, check_point
 from gutterlp import testkit
@@ -199,6 +204,16 @@ class TestSolveCommand:
         assert np.ptp(along) <= 0.05
         assert np.ptp(pixels[:, 0]) > 100.0
 
+    def test_svg_feasible_set_of_zero_area_is_stroked(self, tmp_path, capsys):
+        # the feasible set of x + y = 1, x >= 0, y >= 0 is a segment, which only a stroke shows
+        path = tmp_path / "eq.lp"
+        svg_path = tmp_path / "out.svg"
+        path.write_text("vars 2\nc 1 1 = 1\nc 1 0 >= 0\nc 0 1 >= 0\n")
+        assert cli.main(["solve", str(path), "--svg", str(svg_path)]) == 0
+        capsys.readouterr()
+        feasible = re.search(r'<polygon [^>]*fill="rgb\(70,160,90\)"[^>]*>', svg_path.read_text())
+        assert re.search(r' stroke="rgb\([0-9,]+\)" stroke-width="[0-9.]+"', feasible.group(0))
+
     @pytest.mark.parametrize("text", [
         "vars 2\nc nan 0 >= 1\n",
         "vars 2\nc 1 inf >= 1\n",
@@ -341,6 +356,15 @@ class TestGenOracleBench:
         captured = capsys.readouterr()
         assert code == 73 and captured.out == ""
         assert out.read_text() == "kept\n"
+
+    def test_gen_unopenable_certificate_leaves_no_new_lp_file(self, tmp_path, capsys):
+        out = tmp_path / "y.lp"
+        (tmp_path / "y.lp.cert.json").mkdir()
+        code = cli.main(["gen", "--feasible", "-o", str(out)])
+        captured = capsys.readouterr()
+        assert code == 73 and captured.out == ""
+        assert not out.exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["y.lp.cert.json"]
 
     def test_gen_overwrites_an_existing_file(self, tmp_path, capsys):
         out = tmp_path / "x.lp"
@@ -486,6 +510,18 @@ class TestGenOracleBench:
         aggregate = json.loads(out[-1])
         assert aggregate["feasible"] == 0
         assert aggregate["unsound"] == 0
+
+
+def test_importing_the_cli_loads_neither_testkit_nor_argparse():
+    # a solve of LP text imports the CLI for parse_lp; gen, oracle, bench and the
+    # argument parser import what they need when they run
+    code = ("import sys, gutterlp.cli; "
+            "print(sorted({'gutterlp.testkit', 'argparse'} & set(sys.modules)))")
+    src = str(Path(gutterlp.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 class TestDeterminism:

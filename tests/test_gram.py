@@ -54,6 +54,32 @@ class TestAppendRow:
         basis.append_row(1, [0.0, 1.0])
         assert not basis.append_row(2, unit([1.0, 1.0]))
 
+    @pytest.mark.parametrize("normal", [[0, 1], (0.0, 1.0), np.array([0, 1]),
+                                        np.array([[0.0, 1.0]]), np.array([0.0, 1.0], ">f8")])
+    def test_any_row_that_converts_to_a_flat_float_row_is_accepted(self, normal):
+        basis = GutterBasis(2)
+        assert basis.append_row(0, [1.0, 0.0])
+        assert basis.append_row(1, normal)
+        assert basis.normals_matrix().tolist() == [[1.0, 0.0], [0.0, 1.0]]
+
+    def test_float_row_is_checked_and_only_read(self):
+        # a 1-D float64 row, as the solver passes, is used without a copy and
+        # meets every check a converted row meets
+        basis = GutterBasis(2)
+        with pytest.raises(DimensionMismatchError, match="normal has length 3"):
+            basis.append_row(0, np.array([1.0, 0.0, 0.0]))
+        with pytest.raises(DimensionMismatchError, match="normal has length 1"):
+            basis.append_row(0, [1.0])
+        with pytest.raises(ValueError, match="unit vectors"):
+            basis.append_row(0, np.array([2.0, 0.0]))
+        row = np.array([0.6, 0.8])
+        assert basis.append_row(0, row)
+        with pytest.raises(DuplicateIndexError):
+            basis.append_row(0, np.array([1.0, 0.0]))
+        assert basis.size == 1 and row.tolist() == [0.6, 0.8]
+        row[:] = 0.0
+        assert basis.normals_matrix().tolist() == [[0.6, 0.8]]
+
 
 class TestCorrection:
     def test_single_row(self):

@@ -81,6 +81,16 @@ class TestNormalize:
         assert np.array_equal(unit.A[1:3], ordinary.A)
         assert np.array_equal(unit.b[1:3], ordinary.b)
 
+    def test_large_row_sum_without_a_huge_coefficient_keeps_the_plain_norm(self):
+        # 200 coefficients of 1e149 sum their squares to 2e300, past
+        # HUGE_COEFFICIENT**2, but none is above HUGE_COEFFICIENT itself
+        rows = np.full((2, 200), 1e149)
+        rows[1, 1:] = 1.0
+        unit = normalize(make_lp(rows, [1e149, 3.0]))
+        norms = np.sqrt(np.add.reduce(rows * rows, axis=1))
+        assert np.array_equal(unit.A, rows / norms[:, None])
+        assert np.array_equal(unit.b, np.array([1e149, 3.0]) / norms)
+
     def test_sign_of_distance_preserved(self):
         rng = np.random.default_rng(11)
         raw = make_lp(rng.standard_normal((8, 3)) * 5.0, rng.standard_normal(8))

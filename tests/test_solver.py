@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -718,3 +719,79 @@ def test_parsed_program_under_geom_tol_of_one_still_rejects_unit_rows():
     lp = cli.parse_lp("vars 2\nc 3 4 >= 1\nc 0 -2 >= -5\n")
     with pytest.raises(ZeroNormalError):
         solve_feasibility(lp, SolverConfig(epsilon=2.0, geom_tol=1.0))
+
+
+def _bytes(arr):
+    return None if arr is None else arr.tobytes()
+
+
+class TestScanBuffers:
+    """resolve_constraint's per-cycle buffers: what it is given or hands back is never reused."""
+
+    @staticmethod
+    def cycles(lp, config, trace=None):
+        """Phase I's cycles from the origin, as (state, d, satisfied, outcome) per cycle."""
+        state = SolverState(p0=np.zeros(lp.dimension), epsilon=config.epsilon,
+                            gutter=GutterBasis(lp.dimension))
+        d = lp.A @ state.p0 - lp.b
+        for _ in range(20):
+            satisfied = lp.satisfied(d, config.feas_tol)
+            if satisfied.all():
+                return
+            state.target_index = int(np.where(satisfied, np.inf, d).argmin())
+            state.gutter.reset()
+            outcome = resolve_constraint(lp, state, config, trace, d, satisfied)
+            yield state, d, satisfied, outcome
+            if outcome is not ResolveOutcome.RESOLVED:
+                return
+            d = state.distances
+
+    def test_given_and_returned_distances_are_left_as_they_were(self):
+        # each cycle is handed the distances the one before returned, as phase I
+        # does; neither the arrays handed in nor any cycle's returned distances
+        # may change while later cycles run
+        resolved = 0
+        for seed in range(10):
+            lp = normalize(testkit.gen_feasible(10, 50, 0.1, seed).lp)
+            kept = []
+            for state, d, satisfied, outcome in self.cycles(lp, CFG):
+                kept += [(d, d.tobytes()), (satisfied, satisfied.tobytes())]
+                if outcome is ResolveOutcome.RESOLVED:
+                    resolved += 1
+                    kept.append((state.distances, state.distances.tobytes()))
+                    assert np.array_equal(state.distances, lp.A @ state.p0 - lp.b)
+                for arr, data in kept:
+                    assert arr.tobytes() == data, seed
+        assert resolved >= 20
+
+    @pytest.mark.parametrize("family", ["feasible", "optimize"])
+    def test_returned_point_is_the_callers_own(self, family):
+        lp, solve = _instance(family, 10, 50, 1)
+        first = solve(lp)
+        kept = first.point.tobytes()
+        first.point[:] = 1e9
+        assert solve(lp).point.tobytes() == kept
+
+    @pytest.mark.parametrize("max_iters", [None, 3])
+    def test_state_at_return_is_the_state_the_last_event_reports(self, max_iters):
+        # the center, direction and step count live in locals during a cycle and
+        # are written back before every return, traced or not
+        config = SolverConfig(epsilon=0.01, max_iters=max_iters)
+        outcomes = set()
+        for family, seed in itertools.product(["feasible", "infeasible"], range(10)):
+            lp = normalize(_instance(family, 5, 20, seed)[0])
+            runs = []
+            for events in (None, []):
+                sink = None if events is None else events.append
+                run = []
+                for state, _, _, outcome in self.cycles(lp, config, sink):
+                    run.append((outcome, _bytes(state.p0), _bytes(state.dir), state.inner_iter,
+                                _bytes(state.distances)))
+                    if events is not None:
+                        assert events[-1].iteration == state.inner_iter
+                        assert events[-1].p0 == tuple(state.p0.tolist())
+                runs.append(run)
+            assert runs[0] == runs[1], (family, seed)
+            outcomes.update(outcome for outcome, *_ in runs[0])
+        # RESOLVED, NO_SLOPE, and GUTTER_FULL or, under the cap, INNER_CAP
+        assert len(outcomes) == 3
