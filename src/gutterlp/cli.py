@@ -31,7 +31,6 @@ from .model import (
     SolveResult,
     SolverConfig,
     Verdict,
-    ZeroNormalError,
     check_point,
     normalize,
 )
@@ -212,23 +211,45 @@ def _event_record(event: TraceEvent) -> str:
     })
 
 
-def _read_file(path: str) -> str:
-    # utf-8-sig drops a leading byte-order mark, which some editors write
-    with open(path, "r", encoding="utf-8-sig") as handle:
-        return handle.read()
+def _fail(code: int, message) -> int:
+    """Print one `error:` line to stderr and return the exit code."""
+    print(f"error: {message}", file=sys.stderr)
+    return code
+
+
+def _read_program(path: str) -> LinearProgram | int:
+    """The program in the LP file at path, or, after one `error:` line, the failure's exit code."""
+    try:
+        # utf-8-sig drops a leading byte-order mark, which some editors write
+        with open(path, "r", encoding="utf-8-sig") as handle:
+            text = handle.read()
+    except OSError as exc:
+        return _fail(EXIT_NOINPUT, exc)
+    except UnicodeDecodeError as exc:
+        return _fail(EXIT_DATA, f"{path}: not UTF-8 text ({exc})")
+    try:
+        return parse_lp(text)
+    except ValueError as exc:
+        return _fail(EXIT_DATA, exc)
+
+
+_CONFIG_FIELDS = {"epsilon": "epsilon", "feas_tol": "feas_tol", "geom_tol": "geom_tol",
+                  "max_iter": "max_iters"}
 
 
 def _build_config(args) -> SolverConfig:
-    kwargs = {}
-    if args.epsilon is not None:
-        kwargs["epsilon"] = args.epsilon
-    if args.feas_tol is not None:
-        kwargs["feas_tol"] = args.feas_tol
-    if args.geom_tol is not None:
-        kwargs["geom_tol"] = args.geom_tol
-    if args.max_iter is not None:
-        kwargs["max_iters"] = args.max_iter
-    return SolverConfig(**kwargs)
+    """SolverConfig of the solver flags given; the rest, and flags bench lacks, keep defaults."""
+    return SolverConfig(**{name: getattr(args, flag) for flag, name in _CONFIG_FIELDS.items()
+                           if getattr(args, flag, None) is not None})
+
+
+def _same_file(a: str, b: str) -> bool:
+    """Whether two paths name one file: one resolved path, or, when both exist, one file on disk."""
+    if os.path.realpath(a) == os.path.realpath(b):
+        return True
+    with suppress(OSError):
+        return os.path.samefile(a, b)
+    return False
 
 
 def _open_outputs(outputs: ExitStack, *paths: Optional[str]) -> list:
@@ -263,46 +284,32 @@ def _open_outputs(outputs: ExitStack, *paths: Optional[str]) -> list:
 
 
 def run_solve(args) -> int:
-    try:
-        text = _read_file(args.file)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOINPUT
-    except UnicodeDecodeError as exc:
-        print(f"error: {args.file}: not UTF-8 text ({exc})", file=sys.stderr)
-        return EXIT_DATA
-    try:
-        lp = parse_lp(text)
-    except (LpFormatError, ZeroNormalError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+    if args.trace and args.svg and _same_file(args.trace, args.svg):
+        return _fail(EXIT_USAGE, f"--trace and --svg name the same file {args.svg!r}")
+    lp = _read_program(args.file)
+    if isinstance(lp, int):
+        return lp
 
     if args.svg and lp.dimension != 2:
-        print("error: --svg requires a 2-variable program", file=sys.stderr)
-        return EXIT_USAGE
+        return _fail(EXIT_USAGE, "--svg requires a 2-variable program")
     if args.phase == "optimize" and lp.objective is None:
-        print("error: --phase optimize requires an objective line", file=sys.stderr)
-        return EXIT_USAGE
+        return _fail(EXIT_USAGE, "--phase optimize requires an objective line")
 
     start = None
     if args.start:
         try:
             start = np.array([float(tok) for tok in args.start.split(",")])
         except ValueError:
-            print(f"error: bad --start value {args.start!r}", file=sys.stderr)
-            return EXIT_USAGE
+            return _fail(EXIT_USAGE, f"bad --start value {args.start!r}")
         if start.shape[0] != lp.dimension:
-            print("error: --start length does not match vars", file=sys.stderr)
-            return EXIT_USAGE
+            return _fail(EXIT_USAGE, "--start length does not match vars")
         if not np.all(np.isfinite(start)):
-            print(f"error: --start values must be finite, got {args.start!r}", file=sys.stderr)
-            return EXIT_USAGE
+            return _fail(EXIT_USAGE, f"--start values must be finite, got {args.start!r}")
 
     try:
         config = _build_config(args)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _fail(EXIT_USAGE, exc)
 
     events: list[TraceEvent] = []
     with ExitStack() as outputs:
@@ -310,8 +317,7 @@ def run_solve(args) -> int:
         try:
             trace_file, svg_file = _open_outputs(outputs, args.trace, args.svg)
         except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_CANTCREAT
+            return _fail(EXIT_CANTCREAT, exc)
 
         def sink(event: TraceEvent) -> None:
             if trace_file is not None:
@@ -337,16 +343,18 @@ def run_solve(args) -> int:
 
 def run_gen(args) -> int:
     if args.output is None:
-        print("error: gen requires -o/--output", file=sys.stderr)
-        return EXIT_USAGE
-    if args.feasible == args.infeasible:
-        print("error: choose exactly one of --feasible/--infeasible", file=sys.stderr)
-        return EXIT_USAGE
+        return _fail(EXIT_USAGE, "gen requires -o/--output")
     try:
-        instance, cert = _generate(args)
+        instance = _generator(args)(args.seed)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _fail(EXIT_USAGE, exc)
+    proof = instance.certificate
+    if args.feasible:
+        cert = {"kind": "feasible_interior", "point": [float(x) for x in proof.point],
+                "slack": proof.slack, "seed": instance.seed}
+    else:
+        cert = {"kind": "infeasible_pair", "index_a": proof.index_a, "index_b": proof.index_b,
+                "seed": instance.seed}
     doc = LpFileDocument(
         dimension=instance.lp.dimension,
         objective=None,
@@ -360,8 +368,7 @@ def run_gen(args) -> int:
         try:
             lp_file, cert_file = _open_outputs(outputs, args.output, args.output + ".cert.json")
         except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_CANTCREAT
+            return _fail(EXIT_CANTCREAT, exc)
         lp_file.write(serialize_lp(doc))
         json.dump(cert, cert_file)
         cert_file.write("\n")
@@ -369,42 +376,25 @@ def run_gen(args) -> int:
     return 0
 
 
-def _generate(args):
-    """The instance `gen` asked for and its certificate record; ValueError on bad sizes."""
+def _generator(args):
+    """seed -> the instance gen or bench asked for; ValueError on a bad size or kind choice."""
     from . import testkit
+    if args.feasible == args.infeasible:
+        raise ValueError("choose exactly one of --feasible/--infeasible")
     if args.feasible:
-        instance = testkit.gen_feasible(args.n, args.m, args.slack, args.seed)
-        return instance, {
-            "kind": "feasible_interior",
-            "point": [float(x) for x in instance.certificate.point],
-            "slack": instance.certificate.slack,
-            "seed": instance.seed,
-        }
-    instance = testkit.gen_infeasible(args.n, args.m, args.seed)
-    return instance, {
-        "kind": "infeasible_pair",
-        "index_a": instance.certificate.index_a,
-        "index_b": instance.certificate.index_b,
-        "seed": instance.seed,
-    }
+        return lambda seed: testkit.gen_feasible(args.n, args.m, args.slack, seed)
+    return lambda seed: testkit.gen_infeasible(args.n, args.m, seed)
 
 
 def run_oracle(args) -> int:
     from . import testkit
+    lp = _read_program(args.file)
+    if isinstance(lp, int):
+        return lp
     try:
-        text = _read_file(args.file)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOINPUT
-    except UnicodeDecodeError as exc:
-        print(f"error: {args.file}: not UTF-8 text ({exc})", file=sys.stderr)
-        return EXIT_DATA
-    try:
-        lp = parse_lp(text)
         verdict = testkit.oracle_solve(lp, bound=args.bound)
-    except (LpFormatError, ZeroNormalError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+    except ValueError as exc:
+        return _fail(EXIT_DATA, exc)
     print(json.dumps({
         "verdict": verdict.verdict.value,
         "point": None if verdict.point is None else [float(x) for x in verdict.point],
@@ -426,60 +416,45 @@ def _parse_seed_range(spec: str) -> list[int]:
 
 def run_bench(args) -> int:
     from . import testkit
-    if args.feasible == args.infeasible:
-        print("error: choose exactly one of --feasible/--infeasible", file=sys.stderr)
-        return EXIT_USAGE
+    try:
+        generate = _generator(args)
+    except ValueError as exc:
+        return _fail(EXIT_USAGE, exc)
     try:
         seeds = _parse_seed_range(args.seeds)
     except ValueError:
-        print(f"error: bad --seeds value {args.seeds!r}", file=sys.stderr)
-        return EXIT_USAGE
+        return _fail(EXIT_USAGE, f"bad --seeds value {args.seeds!r}")
 
     try:
-        config = SolverConfig(epsilon=args.epsilon) if args.epsilon is not None else SolverConfig()
+        config = _build_config(args)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _fail(EXIT_USAGE, exc)
+    expected = Verdict.FEASIBLE if args.feasible else Verdict.INFEASIBLE
     counts = {"instances": 0, "feasible": 0, "infeasible": 0, "stalled": 0,
               "disagreements": 0, "unsound": 0}
     t_start = time.perf_counter()
 
     for seed in seeds:
         try:
-            if args.feasible:
-                instance = testkit.gen_feasible(args.n, args.m, args.slack, seed)
-            else:
-                instance = testkit.gen_infeasible(args.n, args.m, seed)
+            instance = generate(seed)
         except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+            return _fail(EXIT_USAGE, exc)
         events: list[TraceEvent] = []
         t0 = time.perf_counter()
         result = solve_feasibility(instance.lp, config, trace=events.append)
         elapsed = time.perf_counter() - t0
-        expected = (Verdict.FEASIBLE if isinstance(instance.certificate, testkit.FeasibleInterior)
-                    else Verdict.INFEASIBLE)
 
-        sound = True
-        if result.verdict is Verdict.FEASIBLE:
-            sound = check_point(instance.lp, result.point, config.feas_tol)
-        trace_problems = testkit.check_trace(instance.lp, events, config.epsilon,
-                                             config.feas_tol)
-        if trace_problems:
+        sound = (result.verdict is not Verdict.FEASIBLE
+                 or check_point(instance.lp, result.point, config.feas_tol))
+        if testkit.check_trace(instance.lp, events, config.epsilon, config.feas_tol):
             sound = False
         agree = result.verdict is expected
 
         counts["instances"] += 1
-        if result.verdict is Verdict.FEASIBLE:
-            counts["feasible"] += 1
-        elif result.verdict is Verdict.INFEASIBLE:
-            counts["infeasible"] += 1
-        else:
-            counts["stalled"] += 1
-        if not agree:
-            counts["disagreements"] += 1
-        if not sound:
-            counts["unsound"] += 1
+        # a feasibility solve ends FEASIBLE, INFEASIBLE or STALLED
+        counts[result.verdict.value.lower()] += 1
+        counts["disagreements"] += not agree
+        counts["unsound"] += not sound
 
         print(json.dumps({
             "seed": seed,

@@ -28,6 +28,10 @@ n, n x n, n x n and n x n); the first `size` rows, and the leading size x size
 blocks of R and R^-1, are the live part. An append writes one row of the first
 four, and a reset keeps the buffers for the next cycle. R and R^-1 are written
 only on and below their diagonals, so their upper triangles stay zero.
+
+append_row, tangent and correction check their argument in one place, _flat:
+a 1-D float64 ndarray, which the solver passes, is used as it is, anything
+else is converted to a flat float array, and a wrong length raises.
 """
 from __future__ import annotations
 
@@ -46,14 +50,24 @@ class DuplicateIndexError(ValueError):
     pass
 
 
+def _flat(x, length: int, name: str) -> np.ndarray:
+    """x as a flat float array of the given length: a 1-D float64 ndarray as it is, anything else converted."""
+    if type(x) is np.ndarray and x.ndim == 1 and x.dtype is _FLOAT:
+        a = x
+    else:
+        a = np.asarray(x, dtype=float).reshape(-1)
+    if a.shape[0] != length:
+        raise DimensionMismatchError(f"{name} has length {a.shape[0]}, expected {length}")
+    return a
+
+
 class GutterBasis:
     """Ordered unit rows (constraint index, normal, plane offset) with an orthonormal basis of their span.
 
     Holds the rows G, the orthonormal rows Q and the triangular R with
     G = R Q, and the rows of R^-1 built so far (`_built`, at most `size`).
-    normals_matrix() and offsets_vector() are read-only views of the first
-    `size` rows of the buffers, valid until the next reset(); gram_inverse
-    is a new array.
+    normals_matrix() is a read-only view of the first `size` rows of the
+    buffer, valid until the next reset(); gram_inverse is a new array.
     """
 
     def __init__(self, dimension: int):
@@ -63,10 +77,9 @@ class GutterBasis:
         n = self.dimension
         self._normals, self._offsets = np.zeros((n, n)), np.zeros(n)
         self._q, self._r, self._r_inv = np.zeros((n, n)), np.zeros((n, n)), np.zeros((n, n))
-        # one read-only view of the rows and offsets, which the accessors slice
-        self._normals_view, self._offsets_view = self._normals.view(), self._offsets.view()
+        # one read-only view of the rows, which normals_matrix() slices
+        self._normals_view = self._normals.view()
         self._normals_view.setflags(write=False)
-        self._offsets_view.setflags(write=False)
 
     @property
     def size(self) -> int:
@@ -98,9 +111,6 @@ class GutterBasis:
     def normals_matrix(self) -> np.ndarray:
         return self._normals_view[:len(self._indices)]
 
-    def offsets_vector(self) -> np.ndarray:
-        return self._offsets_view[:len(self._indices)]
-
     def append_row(self, index: int, normal, offset: float = 0.0, geom_tol: float = 1e-9) -> bool:
         """Append one unit row: one Gram-Schmidt step, a second only after cancellation.
 
@@ -113,23 +123,15 @@ class GutterBasis:
         its normalized residual into Q and its coefficients (Q a, sqrt(pi))
         into R; R^-1 gains the row when it is next read.
 
-        A normal that is a 1-D float64 ndarray (the solver passes rows of
-        lp.A) is used as it is; anything else, a list, an int row or a (1, n)
-        array, is converted to a flat float array first. Either way the
+        A normal that is not a 1-D float64 ndarray, such as a list, an int row
+        or a (1, n) array, is converted first (_flat). Either way the
         duplicate-index, length and unit-norm checks run, and the normal is
         only read.
         """
         index = int(index)
         if index in self._indices:
             raise DuplicateIndexError(f"constraint {index} is already in the basis")
-        if type(normal) is np.ndarray and normal.ndim == 1 and normal.dtype is _FLOAT:
-            a = normal
-        else:
-            a = np.asarray(normal, dtype=float).reshape(-1)
-        if a.shape[0] != self.dimension:
-            raise DimensionMismatchError(
-                f"normal has length {a.shape[0]}, expected {self.dimension}"
-            )
+        a = _flat(normal, self.dimension, "normal")
         norm2 = float(a.dot(a))
         if abs(math.sqrt(norm2) - 1.0) > 1e-9:
             raise ValueError("basis rows must be unit vectors")
@@ -165,11 +167,7 @@ class GutterBasis:
 
     def tangent(self, v) -> np.ndarray:
         """v - Q^T (Q v): the part of v parallel to every plane of the basis; a copy of v when empty."""
-        v = np.asarray(v, dtype=float).reshape(-1)
-        if v.shape[0] != self.dimension:
-            raise DimensionMismatchError(
-                f"vector has length {v.shape[0]}, expected {self.dimension}"
-            )
+        v = _flat(v, self.dimension, "vector")
         t = len(self._indices)
         if t == 0:
             return v.copy()
@@ -188,12 +186,8 @@ class GutterBasis:
 
     def correction(self, residuals) -> np.ndarray:
         """G^T (G G^T)^-1 residuals = Q^T R^-1 residuals; the zero vector for an empty basis."""
-        r = np.asarray(residuals, dtype=float).reshape(-1)
         t = len(self._indices)
-        if r.shape[0] != t:
-            raise DimensionMismatchError(
-                f"residual vector has length {r.shape[0]}, expected {t}"
-            )
+        r = _flat(residuals, t, "residual vector")
         if t == 0:
             return np.zeros(self.dimension)
         return self._r_inverse().dot(r).dot(self._q[:t])

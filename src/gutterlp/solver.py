@@ -174,67 +174,66 @@ def _repin(basis: GutterBasis, lp: LinearProgram, pinned, geom_tol: float) -> Gu
 
 
 def _slide_direction(proj: np.ndarray, d: float, geom_tol: float, feas_tol: float,
-                     epsilon: float = 0.0) -> tuple[Optional[np.ndarray], float]:
-    """Movement direction parallel to the gutter that approaches the target plane.
+                     epsilon: float = 0.0) -> Optional[np.ndarray]:
+    """Movement direction parallel to the gutter that approaches the target plane, or None.
 
     proj is the target's unit normal a projected onto the gutter's tangent
     space: basis.tangent(a) at cycle start, then deflated by each appended
     row (GutterBasis.deflate). The direction is proj normalized. That equals
     normalizing P3 - P1, where P1 and P3 are the projections of the center
-    and of its target-plane foot onto the gutter intersection; the second
-    value is |P3 - P1|, whose vanishing signals "no slope on the gutter". The
-    basis's rows are orthonormal to rounding level, so each projection step
-    leaves dir-gutter dot products at rounding level too. d is the target's
-    signed distance at the center. A target within feas_tol of its plane (a
-    strict target left on it) has the gap up to the epsilon standoff left to
-    travel instead of the plane distance, the same test resolve_constraint
-    uses for its hit time.
+    and of its target-plane foot onto the gutter intersection; None, when
+    |proj| or |P3 - P1| = travel * |proj| is at most geom_tol, signals "no
+    slope on the gutter". The basis's rows are orthonormal to rounding level,
+    so each projection step leaves dir-gutter dot products at rounding level
+    too. d is the target's signed distance at the center. A target within
+    feas_tol of its plane (a strict target left on it) has the gap up to the
+    epsilon standoff left to travel instead of the plane distance, the same
+    test resolve_constraint uses for its hit time.
     """
     norm = math.sqrt(proj.dot(proj))
     travel = -d if d < -feas_tol else max(epsilon - d, 0.0)
-    slope = travel * norm
-    if norm <= geom_tol or slope <= geom_tol:
-        return None, slope
-    return proj / norm, slope
+    if norm <= geom_tol or travel * norm <= geom_tol:
+        return None
+    return proj / norm
 
 
 def resolve_constraint(lp: LinearProgram, state: SolverState, config: SolverConfig,
                        trace: TraceSink = None, d: Optional[np.ndarray] = None,
                        satisfied: Optional[np.ndarray] = None,
-                       target: Optional[tuple[np.ndarray, float, Sense]] = None) -> ResolveOutcome:
+                       objective: Optional[np.ndarray] = None) -> ResolveOutcome:
     """Drive the ball until the target constraint is satisfied or progress dies.
 
-    The target is `target=(a, beta, sense)`, the row a . x >= beta (> for
-    Sense.GT) with unit normal a, or, left out, row state.target_index of
-    lp; it is GE or GT, never EQ. A given beta may be +inf: the target is
-    then never hit, and the cycle never resolves. Expects unit rows (see
-    normalize), the target violated at state.p0 and state.gutter holding only
-    the pinned equality rows. Mutates state in place and returns how the
-    cycle ended: RESOLVED, GUTTER_FULL, NO_SLOPE (no direction along the
-    gutter approaches the target), INNER_CAP or UNBOUNDED_RAY (no plane stops
-    the ball). After RESOLVED, state.distances holds A p0 - b at the final
-    center. `d`, when given, must be A p0 - b at the current center and
-    `satisfied` its lp.satisfied mask, as the caller's violation check
-    already computed them; neither is modified.
+    The target is row state.target_index of lp, a GE or GT row, never EQ;
+    or, given `objective`, the unit direction that phase II pushes to
+    infinity, the plane objective . x >= +inf. The objective's distance is
+    -inf at every center and it is never steep, so it is never hit and the
+    cycle never resolves. Expects unit rows (see normalize), the target
+    violated at state.p0 and state.gutter holding only the pinned equality
+    rows. Mutates state in place and returns how the cycle ended: RESOLVED,
+    GUTTER_FULL, NO_SLOPE (no direction along the gutter approaches the
+    target), INNER_CAP or UNBOUNDED_RAY (no plane stops the ball). After
+    RESOLVED, state.distances holds A p0 - b at the final center. `d`, when
+    given, must be A p0 - b at the current center and `satisfied` its
+    lp.satisfied mask, as the caller's violation check already computed
+    them; neither is modified.
 
     The planes that can stop the ball are lp's rows satisfied when the cycle
     starts, less the pinned and gutter rows and rows whose append was
     degenerate (until the next successful append). The cycle keeps them as a
     float gate, -0.0 on open rows and -inf on closed ones. A scan finds the
-    first plane hit as the least hit time t, ties going to the lowest index.
-    The target ties by its index: a row of lp beats the rows after it, and a
-    given `target`, which events report as index m = lp.num_constraints,
-    beats none. For each slide direction, live = gate - A dir, with -inf on
-    the rows too flat to hit; -0.0 - s is -s for every finite s, signed zeros
-    included, so live is -A dir on the open rows bit for bit. A scan is then
-    t = (A p0 - b) / live.
+    first plane hit as the least hit time t, ties going to the lowest index;
+    a target row beats the rows after it. Events report the objective as
+    target m = lp.num_constraints. For each slide direction,
+    live = gate - A dir, with -inf on the rows too flat to hit; -0.0 - s is
+    -s for every finite s, signed zeros included, so live is -A dir on the
+    open rows bit for bit. A scan is then t = (A p0 - b) / live.
 
     A far obstacle moves the center back to its epsilon standoff, where it
     touches the ball, and joins the gutter in the same step, as a near one
     does. With epsilon == 0 the center lands on the far plane, which the
-    next scan drops, so there the backoff ends its step. A p0 - b and the
-    target's distance are recomputed after every move, and A dir, live and
-    the target's slope only after the direction changed. The target's
+    next scan drops, so there the backoff ends its step. A p0 - b and a
+    target row's distance are recomputed after every move, and A dir, live
+    and a target row's slope only after the direction changed. The target's
     projection onto the gutter's tangent space is taken once per cycle and
     deflated by each appended row.
 
@@ -257,9 +256,9 @@ def resolve_constraint(lp: LinearProgram, state: SolverState, config: SolverConf
     """
     A, b = lp.A, lp.b
     m, n = A.shape
-    own = target is None
+    own = objective is None
     i = state.target_index if own else m
-    a, beta, sense = (A[i], b[i], lp.senses[i]) if own else target
+    a, sense = (A[i], lp.senses[i]) if own else (objective, Sense.GE)
     if sense is Sense.EQ:
         raise ValueError("the target must be a GE or GT row")
     strict = sense is Sense.GT
@@ -271,9 +270,9 @@ def resolve_constraint(lp: LinearProgram, state: SolverState, config: SolverConf
     if d is None:
         d = A.dot(p0) - b
     d_at = p0
-    # a row of lp reads its distance and slope from lp's matvecs, which can
-    # differ from a 1-D dot product in the last bit
-    d_i = float(d[i]) if own else float(a.dot(p0)) - beta
+    # a target row reads its distance and slope from the cycle's buffers; the
+    # objective's distance stays -inf and its slope 0, so it is never hit
+    d_i = float(d[i]) if own else -math.inf
     if satisfied is None:
         satisfied = lp.satisfied(d, feas_tol)
     gutter = state.gutter
@@ -282,7 +281,7 @@ def resolve_constraint(lp: LinearProgram, state: SolverState, config: SolverConf
     if state.pinned_eq or rows:
         gate[[*state.pinned_eq, *gutter.indices]] = -np.inf
     proj = gutter.tangent(a)
-    direction, _ = _slide_direction(proj, d_i, geom_tol, feas_tol, eps)
+    direction = _slide_direction(proj, d_i, geom_tol, feas_tol, eps)
     if direction is None:
         _emit(trace, state, EventKind.STALL, "no-slope at cycle start", stopped=True)
         return ResolveOutcome.NO_SLOPE
@@ -303,7 +302,7 @@ def resolve_constraint(lp: LinearProgram, state: SolverState, config: SolverConf
             d = A.dot(p0, distances)
             d -= b
             d_at = p0
-            d_i = float(d[i]) if own else float(a.dot(p0)) - beta
+            d_i = float(d[i]) if own else -inf
         if d_i > feas_tol if strict else d_i >= -feas_tol:
             state.distances = d
             _emit_at(trace, state, p0, direction, inner, EventKind.RESOLVED, "target={}", i)
@@ -326,7 +325,7 @@ def resolve_constraint(lp: LinearProgram, state: SolverState, config: SolverConf
             absolute(slope, t)
             less_equal(t, tol, mask)
             putmask(live, mask, -inf)
-            slope_i = float(slope[i]) if own else float(a.dot(direction))
+            slope_i = float(slope[i]) if own else 0.0
             target_steep = abs(slope_i) > geom_tol
         # a violated target is hit at its plane; a strict target already on
         # its plane is hit at the epsilon standoff
@@ -401,9 +400,9 @@ def resolve_constraint(lp: LinearProgram, state: SolverState, config: SolverConf
             d = A.dot(p0, distances)
             d -= b
             d_at = p0
-            d_i = float(d[i]) if own else float(a.dot(p0)) - beta
+            d_i = float(d[i]) if own else -inf
         gutter.deflate(proj)
-        turned, _ = _slide_direction(proj, d_i, geom_tol, feas_tol, eps)
+        turned = _slide_direction(proj, d_i, geom_tol, feas_tol, eps)
         if turned is None:
             _emit_at(trace, state, p0, direction, inner, EventKind.GUTTER_APPEND, "plane={}", j,
                      stopped=True)
@@ -612,9 +611,9 @@ def solve_optimum(lp: LinearProgram, config: Optional[SolverConfig] = None,
     """Optimize the objective: feasibility first, then drive the objective plane.
 
     The objective is pushed by resolving the artificial constraint
-    c_hat . x >= +inf: each cycle passes it to resolve_constraint as the
-    target of the user's own normalized program, never as a row stacked under
-    it, and reports it in events as target m. No point meets that target, so
+    c_hat . x >= +inf: each cycle passes c_hat to resolve_constraint as
+    `objective` on the user's own normalized program, never as a row stacked
+    under it, and reports it in events as target m. No point meets that target, so
     a cycle never resolves; it walks up the objective along the gutter until
     it stalls or no plane stops it. Phase II stops at the first proof:
     - a stall (GUTTER_FULL or NO_SLOPE) whose gutter vertex, the center
@@ -662,8 +661,7 @@ def solve_optimum(lp: LinearProgram, config: Optional[SolverConfig] = None,
         _repin(state.gutter, lp, state.pinned_eq, config.geom_tol)
         _emit(trace, state, EventKind.SELECT_TARGET, "target={} artificial",
               lp.num_constraints, stopped=True)
-        outcome = resolve_constraint(lp, state, config, trace, d,
-                                     target=(c_hat, math.inf, Sense.GE))
+        outcome = resolve_constraint(lp, state, config, trace, d, objective=c_hat)
         d = None
 
         if outcome is ResolveOutcome.UNBOUNDED_RAY:

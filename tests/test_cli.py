@@ -253,6 +253,33 @@ class TestSolveCommand:
         assert code == 73 and captured.out == ""
         assert trace_path.read_text() == "kept\n"
 
+    @pytest.mark.parametrize("svg", ["same.out", "./same.out", "sub/../same.out"])
+    def test_trace_and_svg_naming_one_new_file_is_a_usage_error(self, tmp_path, capsys, svg):
+        path = tmp_path / "two.lp"
+        path.write_text(TWO_PLANE)
+        (tmp_path / "sub").mkdir()
+        code = cli.main(["solve", str(path), "--trace", str(tmp_path / "same.out"),
+                         "--svg", os.path.join(str(tmp_path), svg)])
+        captured = capsys.readouterr()
+        assert code == 64 and captured.out == ""
+        assert captured.err.startswith("error: --trace and --svg name the same file")
+        assert captured.err.count("\n") == 1
+        assert not (tmp_path / "same.out").exists()
+
+    @pytest.mark.parametrize("link", ["symlink", "hardlink"])
+    def test_trace_and_svg_naming_one_existing_file_leave_it_as_it_was(self, tmp_path, capsys,
+                                                                       link):
+        path = tmp_path / "two.lp"
+        path.write_text(TWO_PLANE)
+        target, alias = tmp_path / "out", tmp_path / "alias"
+        target.write_text("kept\n")
+        (os.symlink if link == "symlink" else os.link)(target, alias)
+        code = cli.main(["solve", str(path), "--trace", str(alias), "--svg", str(target)])
+        captured = capsys.readouterr()
+        assert code == 64 and captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert target.read_text() == "kept\n"
+
     @pytest.mark.parametrize("start", ["nan,1", "1,inf", "0,-inf"])
     def test_non_finite_start_is_a_usage_error(self, tmp_path, capsys, start):
         path = tmp_path / "two.lp"

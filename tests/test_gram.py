@@ -100,7 +100,8 @@ class TestCorrection:
     def test_length_mismatch(self):
         basis = GutterBasis(2)
         basis.append_row(0, [1.0, 0.0])
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(DimensionMismatchError,
+                           match="residual vector has length 2, expected 1"):
             basis.correction([1.0, 2.0])
 
 
@@ -256,7 +257,7 @@ class TestNearDependentRows:
         v = np.array([1.0, -2.0, 0.5])
         got = basis.tangent(v)
         assert np.array_equal(got, v) and got is not v
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(DimensionMismatchError, match="vector has length 2, expected 3"):
             basis.tangent([1.0, 2.0])
 
 

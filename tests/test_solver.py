@@ -22,6 +22,7 @@ from gutterlp.solver import (
     InconsistentEqualityError,
     ResolveOutcome,
     SolverState,
+    _slide_direction,
     initial_point,
     resolve_constraint,
     solve_feasibility,
@@ -116,68 +117,71 @@ class TestResolveConstraint:
 
 
 class TestGivenTarget:
-    """resolve_constraint driven by a `target=` row that is not a row of the program."""
+    """resolve_constraint's target: a row of the program, or phase II's `objective` direction."""
 
-    X_GE_2 = (np.array([1.0, 0.0]), 2.0, Sense.GE)
-
-    def resolve(self, lp, p0, target):
-        state = SolverState(p0=np.array(p0), epsilon=0.01, gutter=GutterBasis(2))
+    def resolve(self, lp, p0, target_index=-1, objective=None):
+        state = SolverState(p0=np.array(p0), epsilon=0.01, gutter=GutterBasis(2),
+                            target_index=target_index)
         events = []
-        outcome = resolve_constraint(lp, state, CFG, events.append, target=target)
+        outcome = resolve_constraint(lp, state, CFG, events.append, objective=objective)
         return outcome, state, events
 
-    def test_lands_at_the_standoff_past_the_plane(self):
-        lp = make_lp([[0.0, 1.0]], [-5.0])
-        outcome, state, events = self.resolve(lp, [0.0, 0.0], self.X_GE_2)
-        assert outcome is ResolveOutcome.RESOLVED
-        assert np.allclose(state.p0, [2.01, 0.0])
-        # the target is reported as index m, one past the program's rows
-        assert events[-1].kind is EventKind.RESOLVED and events[-1].detail == "target=1"
-        assert np.array_equal(state.distances, lp.A @ state.p0 - lp.b)
-
     def test_tie_with_an_obstacle_goes_to_the_obstacle(self):
-        # x <= 1 and the target x >= 1 are both reached at t = 1 from the origin
-        obstacle = make_lp([[-1.0, 0.0]], [-1.0])
-        outcome, state, events = self.resolve(obstacle, [0.0, 0.0],
-                                              (np.array([1.0, 0.0]), 1.0, Sense.GE))
+        # x <= 1 (row 0) and the target x >= 1 (row 1) are both reached at t = 1
+        # from the origin, and the tie goes to the lower index
+        lp = make_lp([[-1.0, 0.0], [1.0, 0.0]], [-1.0, 1.0])
+        outcome, state, events = self.resolve(lp, [0.0, 0.0], target_index=1)
         assert outcome is ResolveOutcome.NO_SLOPE
         assert state.gutter.indices == (0,)
         assert (EventKind.OBSTACLE_BACKOFF, "obstacle=0") in [(e.kind, e.detail) for e in events]
         # the same target as row 0 of the program beats the obstacle, now row 1
         lp = make_lp([[1.0, 0.0], [-1.0, 0.0]], [1.0, -1.0])
-        state = SolverState(p0=np.zeros(2), epsilon=0.01, gutter=GutterBasis(2), target_index=0)
-        assert resolve_constraint(lp, state, CFG) is ResolveOutcome.RESOLVED
+        outcome, state, _ = self.resolve(lp, [0.0, 0.0], target_index=0)
+        assert outcome is ResolveOutcome.RESOLVED
         assert state.gutter.size == 0 and np.array_equal(state.p0, [1.0, 0.0])
 
     def test_strict_target_on_its_plane_moves_to_the_standoff(self):
-        lp = make_lp([[0.0, 1.0]], [-5.0])
-        outcome, state, _ = self.resolve(lp, [2.0, 0.0], (np.array([1.0, 0.0]), 2.0, Sense.GT))
+        rows, offsets = [[0.0, 1.0], [1.0, 0.0]], [-5.0, 2.0]
+        lp = make_lp(rows, offsets, [Sense.GE, Sense.GT])
+        outcome, state, _ = self.resolve(lp, [2.0, 0.0], target_index=1)
         assert outcome is ResolveOutcome.RESOLVED
         assert np.allclose(state.p0, [2.01, 0.0])
         # a GE target on its plane is already met
-        outcome, state, events = self.resolve(lp, [2.0, 0.0], self.X_GE_2)
+        outcome, state, events = self.resolve(make_lp(rows, offsets), [2.0, 0.0], target_index=1)
         assert outcome is ResolveOutcome.RESOLVED
         assert np.array_equal(state.p0, [2.0, 0.0]) and kinds(events) == [EventKind.RESOLVED]
 
     def test_equality_target_rejected(self):
-        lp = make_lp([[0.0, 1.0]], [-5.0])
+        lp = make_lp([[0.0, 1.0], [1.0, 0.0]], [-5.0, 2.0], [Sense.GE, Sense.EQ])
         with pytest.raises(ValueError, match="GE or GT"):
-            self.resolve(lp, [0.0, 0.0], (np.array([1.0, 0.0]), 2.0, Sense.EQ))
+            self.resolve(lp, [0.0, 0.0], target_index=1)
 
     def test_target_at_infinity_never_resolves(self):
         # phase II's target: the walk up (1, 1) ends in the box's corner, and
         # on the open quadrant nothing stops it
-        up = (np.array([1.0, 1.0]) / math.sqrt(2.0), math.inf, Sense.GE)
+        up = np.array([1.0, 1.0]) / math.sqrt(2.0)
         box = make_lp([[-1.0, 0.0], [0.0, -1.0]], [-1.0, -1.0])
-        outcome, state, events = self.resolve(box, [0.0, 0.0], up)
+        outcome, state, events = self.resolve(box, [0.0, 0.0], objective=up)
         assert outcome is ResolveOutcome.GUTTER_FULL
         assert set(state.gutter.indices) == {0, 1}
         assert np.allclose(state.p0, [0.99, 0.99])
+        # the objective is reported as index m, one past the program's rows
+        assert events[-1].kind is EventKind.GUTTER_FULL and events[-1].detail == "target=2 rows=2"
         quadrant = make_lp([[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0])
-        outcome, state, events_q = self.resolve(quadrant, [0.0, 0.0], up)
+        outcome, state, events_q = self.resolve(quadrant, [0.0, 0.0], objective=up)
         assert outcome is ResolveOutcome.UNBOUNDED_RAY
-        assert state.gutter.size == 0 and np.allclose(state.dir, up[0])
+        assert state.gutter.size == 0 and np.allclose(state.dir, up)
         assert EventKind.RESOLVED not in kinds(events) + kinds(events_q)
+
+    def test_slide_direction_is_an_array_or_none(self):
+        proj = np.array([3.0, 4.0])
+        direction = _slide_direction(proj, -1.0, 1e-9, 1e-8, 0.01)
+        assert type(direction) is np.ndarray and np.array_equal(direction, [0.6, 0.8])
+        # the objective's distance, -inf, leaves the direction to proj alone
+        assert np.array_equal(_slide_direction(proj, -math.inf, 1e-9, 1e-8, 0.01), direction)
+        # no slope along the gutter, or a target met by more than epsilon: nothing to travel
+        assert _slide_direction(np.zeros(2), -1.0, 1e-9, 1e-8, 0.01) is None
+        assert _slide_direction(proj, 0.5, 1e-9, 1e-8, 0.01) is None
 
 
 class TestSolveFeasibility:
