@@ -3,10 +3,12 @@
     python3 scripts/result_digest.py --seeds 1 2 3
 
 The pools are the benchmark's workloads (`perfbench/workloads.py`, drawn at
-each seed) plus a sense grid the benchmark pools lack: strict (GT) copies of
-`testkit.gen_feasible` at (5,20) and (10,50), solved for feasibility and, at
-(5,20), optimized too, and the one-equality-row family of
-`tests/test_equivalence.py` at (3,8) and (5,20).
+each seed) plus two that the benchmark pools lack. The `senses` grid holds
+strict (GT) copies of `testkit.gen_feasible` at (5,20) and (10,50), solved
+for feasibility and, at (5,20), optimized too, and the one-equality-row
+family of `tests/test_equivalence.py` at (3,8) and (5,20). The `repair` pool
+holds programs that take the exits of a resolve cycle that no other pool
+reaches (see `_repair_pool`).
 
 Each instance is solved untraced and then traced, on the same input object
 (LP text is parsed once, as `cli.parse_lp` reads it). The digest covers the
@@ -42,12 +44,14 @@ DIFFERS exits 1.
 import argparse
 import hashlib
 import io
+import math
 import os
 import shutil
 import subprocess
 import sys
 import tarfile
 import tempfile
+from functools import partial
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -100,6 +104,57 @@ def _sense_grid(seed: int):
             yield "eq", LinearProgram.from_arrays(inst.lp.A, offsets,
                                                   [Sense.EQ] + [Sense.GE] * (m - 1)), \
                 solve_feasibility
+
+
+def _repair_pool(seed: int):
+    """(label, program, solve) for the rare exits of a resolve cycle at one seed.
+
+    - "ge-pairs": `testkit.gen_feasible` at (5,20) with k=2 and (10,50) with
+      k=3 opposed row pairs P x >= P z0, -P x >= -P z0 through the certificate
+      point z0, the k unit normals P drawn from `default_rng((s, k, 55))`.
+      These reach EQUALITY_SWITCH (56 to 60 times at each of seeds 0-2), and
+      at seeds 1 and 2 once each the cycle after it that starts with a full
+      gutter and stalls with "no-slope at cycle start".
+    - "wedge": the steep 2-D wedge of `demos/narrow_regions.py` with a drawn
+      wall slope k in [2, 8], target offset h in [-0.02, 0.03] and start
+      (x0, 1), x0 in [-0.3, 0.3], at epsilon 0.01. It reaches SHRINK_BALL
+      (7 to 9 times in 20 programs at each of seeds 0-2).
+    - "zero-radius": `gen_feasible(5, 20)` at epsilon 0, which reaches the
+      backoff that ends its step on a far plane.
+    - "inner-cap": `gen_feasible(10, 50)` under max_iters=3, solved for
+      feasibility from the origin and optimized from the certificate point,
+      so that phase II runs too. Both reach INNER_CAP.
+    """
+    import numpy as np
+    from gutterlp import Direction, LinearProgram, Objective, SolverConfig, testkit
+    from gutterlp import solve_feasibility, solve_optimum
+
+    for k in range(SENSE_INSTANCES):
+        s = seed * SENSE_INSTANCES + k
+        for n, m, pairs in ((5, 20, 2), (10, 50, 3)):
+            inst = testkit.gen_feasible(n, m, 0.1, s)
+            normals = np.random.default_rng((s, pairs, 55)).standard_normal((pairs, n))
+            normals /= np.linalg.norm(normals, axis=1)[:, None]
+            offsets = normals @ inst.certificate.point
+            yield "ge-pairs", LinearProgram.from_arrays(
+                np.vstack([inst.lp.A, normals, -normals]),
+                np.concatenate([inst.lp.b, offsets, -offsets])), solve_feasibility
+        rng = np.random.default_rng((s, 2, 8))
+        slope, h, x0 = rng.uniform(2.0, 8.0), rng.uniform(-0.02, 0.03), rng.uniform(-0.3, 0.3)
+        wall = math.hypot(slope, 1.0)
+        wedge = LinearProgram.from_arrays(
+            np.array([[-slope / wall, 1.0 / wall], [slope / wall, 1.0 / wall], [0.0, -1.0]]),
+            np.array([0.0, 0.0, -h]))
+        yield "wedge", wedge, partial(solve_feasibility, config=SolverConfig(epsilon=0.01),
+                                      start=np.array([x0, 1.0]))
+        yield "zero-radius", testkit.gen_feasible(5, 20, 0.1, s).lp, \
+            partial(solve_feasibility, config=SolverConfig(epsilon=0.0))
+        capped = SolverConfig(max_iters=3)
+        inst = testkit.gen_feasible(10, 50, 0.1, s)
+        yield "inner-cap", inst.lp, partial(solve_feasibility, config=capped)
+        objective = Objective(Direction.MAX, np.random.default_rng((s, 10, 3)).standard_normal(10))
+        yield "inner-cap", LinearProgram.from_arrays(inst.lp.A, inst.lp.b, objective=objective), \
+            partial(solve_optimum, config=capped, start=inst.certificate.point)
 
 
 def _workload_pool(name: str, seed: int, arrays: bool = False):
@@ -155,6 +210,7 @@ def digest_lines(seeds) -> tuple[list[str], bool]:
         pools = [(name, _workload_pool(name, seed)) for name in workloads.WORKLOADS]
         pools.append(("tiny-text/arrays", _workload_pool("tiny-text", seed, arrays=True)))
         pools.append(("senses", _sense_grid(seed)))
+        pools.append(("repair", _repair_pool(seed)))
         shas = {}
         for name, instances in pools:
             sha, outcomes, count, mismatched = digest(instances)

@@ -308,6 +308,8 @@ def run_solve(args) -> int:
 
     try:
         config = _build_config(args)
+        # as the solve does; at geom_tol >= 1 it rejects the parsed program's unit rows
+        normalize(lp, config.geom_tol)
     except ValueError as exc:
         return _fail(EXIT_USAGE, exc)
 

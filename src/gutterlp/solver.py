@@ -174,7 +174,7 @@ def _repin(basis: GutterBasis, lp: LinearProgram, pinned, geom_tol: float) -> Gu
 
 
 def _slide_direction(proj: np.ndarray, d: float, geom_tol: float, feas_tol: float,
-                     epsilon: float = 0.0) -> Optional[np.ndarray]:
+                     epsilon: float) -> Optional[np.ndarray]:
     """Movement direction parallel to the gutter that approaches the target plane, or None.
 
     proj is the target's unit normal a projected onto the gutter's tangent
@@ -203,19 +203,19 @@ def resolve_constraint(lp: LinearProgram, state: SolverState, config: SolverConf
                        objective: Optional[np.ndarray] = None) -> ResolveOutcome:
     """Drive the ball until the target constraint is satisfied or progress dies.
 
-    The target is row state.target_index of lp, a GE or GT row, never EQ;
-    or, given `objective`, the unit direction that phase II pushes to
-    infinity, the plane objective . x >= +inf. The objective's distance is
-    -inf at every center and it is never steep, so it is never hit and the
-    cycle never resolves. Expects unit rows (see normalize), the target
-    violated at state.p0 and state.gutter holding only the pinned equality
-    rows. Mutates state in place and returns how the cycle ended: RESOLVED,
-    GUTTER_FULL, NO_SLOPE (no direction along the gutter approaches the
-    target), INNER_CAP or UNBOUNDED_RAY (no plane stops the ball). After
-    RESOLVED, state.distances holds A p0 - b at the final center. `d`, when
-    given, must be A p0 - b at the current center and `satisfied` its
-    lp.satisfied mask, as the caller's violation check already computed
-    them; neither is modified.
+    The target is row state.target_index of lp, a GE or GT row (any other
+    index raises ValueError), or, given `objective`, the unit direction that
+    phase II pushes to infinity, the plane objective . x >= +inf. The
+    objective's distance is -inf at every center and it is never steep, so
+    it is never hit and the cycle never resolves. Expects unit rows (see
+    normalize), the target violated at state.p0 and state.gutter holding
+    only the pinned equality rows. Mutates state in place and returns how
+    the cycle ended: RESOLVED, GUTTER_FULL, NO_SLOPE (no direction along the
+    gutter approaches the target), INNER_CAP or UNBOUNDED_RAY (no plane
+    stops the ball). After RESOLVED, state.distances holds A p0 - b at the
+    final center. `d`, when given, must be A p0 - b at the current center
+    and `satisfied` its lp.satisfied mask, as the caller's violation check
+    already computed them; neither is modified.
 
     The planes that can stop the ball are lp's rows satisfied when the cycle
     starts, less the pinned and gutter rows and rows whose append was
@@ -231,11 +231,15 @@ def resolve_constraint(lp: LinearProgram, state: SolverState, config: SolverConf
     A far obstacle moves the center back to its epsilon standoff, where it
     touches the ball, and joins the gutter in the same step, as a near one
     does. With epsilon == 0 the center lands on the far plane, which the
-    next scan drops, so there the backoff ends its step. A p0 - b and a
-    target row's distance are recomputed after every move, and A dir, live
-    and a target row's slope only after the direction changed. The target's
-    projection onto the gutter's tangent space is taken once per cycle and
-    deflated by each appended row.
+    next scan drops, so there the backoff ends its step. A step that appends
+    a row leaves the turn to the top of the next step: after the one refresh
+    of A p0 - b and a target row's distance, which follows every move, the
+    target's projection onto the gutter's tangent space, taken once per
+    cycle, is deflated by the row and gives the new direction, unless the
+    gutter is full. One site after the RESOLVED test decides every stall:
+    NO_SLOPE when there is no direction ("at cycle start" before the first
+    step), then GUTTER_FULL, then INNER_CAP. A dir, live and a target row's
+    slope are recomputed only after the direction changed.
 
     When the target comes first, the landing past its plane is cut short at
     the first open plane the ball crosses (A dir < 0) on the way. Every hit
@@ -258,10 +262,9 @@ def resolve_constraint(lp: LinearProgram, state: SolverState, config: SolverConf
     m, n = A.shape
     own = objective is None
     i = state.target_index if own else m
-    a, sense = (A[i], lp.senses[i]) if own else (objective, Sense.GE)
-    if sense is Sense.EQ:
-        raise ValueError("the target must be a GE or GT row")
-    strict = sense is Sense.GT
+    if own and not (0 <= i < m and lp.senses[i] is not Sense.EQ):
+        raise ValueError(f"the target must be a GE or GT row in 0..{m - 1}, got {i}")
+    a, strict = (A[i], lp.senses[i] is Sense.GT) if own else (objective, False)
     eps = state.epsilon
     geom_tol = config.geom_tol
     feas_tol = config.feas_tol
@@ -282,9 +285,6 @@ def resolve_constraint(lp: LinearProgram, state: SolverState, config: SolverConf
         gate[[*state.pinned_eq, *gutter.indices]] = -np.inf
     proj = gutter.tangent(a)
     direction = _slide_direction(proj, d_i, geom_tol, feas_tol, eps)
-    if direction is None:
-        _emit(trace, state, EventKind.STALL, "no-slope at cycle start", stopped=True)
-        return ResolveOutcome.NO_SLOPE
     # the step's buffers, filled in place; a ufunc's third argument is its out
     distances, slope, live, t = np.empty(m), np.empty(m), np.empty(m), np.empty(m)
     mask = np.empty(m, dtype=bool)
@@ -296,6 +296,7 @@ def resolve_constraint(lp: LinearProgram, state: SolverState, config: SolverConf
     skipped: list[int] = []
     inner = state.inner_iter
     inner_cap = config.inner_cap(lp)
+    appended = -1   # the row whose append left the turn due, or -1
 
     while True:
         if p0 is not d_at:
@@ -303,10 +304,22 @@ def resolve_constraint(lp: LinearProgram, state: SolverState, config: SolverConf
             d -= b
             d_at = p0
             d_i = float(d[i]) if own else -inf
+        if appended >= 0:
+            if rows < n:
+                gutter.deflate(proj)
+                direction = _slide_direction(proj, d_i, geom_tol, feas_tol, eps)
+            if trace is not None:
+                _emit_at(trace, state, p0, direction, inner, EventKind.GUTTER_APPEND, "plane={}",
+                         appended, stopped=rows >= n or direction is None)
+            appended = -1
         if d_i > feas_tol if strict else d_i >= -feas_tol:
             state.distances = d
             _emit_at(trace, state, p0, direction, inner, EventKind.RESOLVED, "target={}", i)
             return ResolveOutcome.RESOLVED
+        if direction is None:
+            detail = "no-slope" if scanned_dir is not None else "no-slope at cycle start"
+            _emit_at(trace, state, p0, direction, inner, EventKind.STALL, detail, stopped=True)
+            return ResolveOutcome.NO_SLOPE
         if rows >= n:
             _emit_at(trace, state, p0, direction, inner, EventKind.GUTTER_FULL,
                      "target={} rows={}", i, rows, stopped=True)
@@ -391,26 +404,7 @@ def resolve_constraint(lp: LinearProgram, state: SolverState, config: SolverConf
         if skipped:
             gate[skipped] = -0.0
             skipped.clear()
-        if rows >= n:
-            if trace is not None:
-                _emit_at(trace, state, p0, direction, inner, EventKind.GUTTER_APPEND,
-                         "plane={}", j, stopped=True)
-            continue
-        if p0 is not d_at:
-            d = A.dot(p0, distances)
-            d -= b
-            d_at = p0
-            d_i = float(d[i]) if own else -inf
-        gutter.deflate(proj)
-        turned = _slide_direction(proj, d_i, geom_tol, feas_tol, eps)
-        if turned is None:
-            _emit_at(trace, state, p0, direction, inner, EventKind.GUTTER_APPEND, "plane={}", j,
-                     stopped=True)
-            _emit(trace, state, EventKind.STALL, "no-slope", stopped=True)
-            return ResolveOutcome.NO_SLOPE
-        direction = turned
-        if trace is not None:
-            _emit_at(trace, state, p0, direction, inner, EventKind.GUTTER_APPEND, "plane={}", j)
+        appended = j
 
 
 def _emit_at(trace: TraceSink, state: SolverState, p0: np.ndarray, direction: np.ndarray,

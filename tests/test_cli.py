@@ -303,6 +303,24 @@ class TestSolveCommand:
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("geom_tol", ["1", "5"])
+    def test_geom_tol_that_rejects_every_unit_row_is_a_usage_error(self, tmp_path, capsys,
+                                                                  geom_tol):
+        # normalize reads a unit row as a zero normal once geom_tol reaches 1
+        path = tmp_path / "two.lp"
+        path.write_text(TWO_PLANE)
+        trace = tmp_path / "t.jsonl"
+        code = cli.main(["solve", str(path), "--epsilon", "10", "--geom-tol", geom_tol,
+                         "--trace", str(trace)])
+        captured = capsys.readouterr()
+        assert code == 64
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert not trace.exists()
+        # below 1 the rows pass, and the program is solved
+        assert cli.main(["solve", str(path), "--epsilon", "10", "--geom-tol", "0.75"]) == 0
+
     def test_negative_start_in_either_form(self, tmp_path, capsys):
         path = tmp_path / "two.lp"
         path.write_text(TWO_PLANE)

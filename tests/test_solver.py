@@ -156,6 +156,13 @@ class TestGivenTarget:
         with pytest.raises(ValueError, match="GE or GT"):
             self.resolve(lp, [0.0, 0.0], target_index=1)
 
+    @pytest.mark.parametrize("target_index", [-1, 2])
+    def test_target_outside_the_rows_rejected(self, target_index):
+        # -1, SolverState's default, would otherwise target the last row and win its ties
+        lp = make_lp([[-1.0, 0.0], [1.0, 0.0]], [-1.0, 1.0])
+        with pytest.raises(ValueError, match=r"in 0\.\.1, got"):
+            self.resolve(lp, [0.0, 0.0], target_index=target_index)
+
     def test_target_at_infinity_never_resolves(self):
         # phase II's target: the walk up (1, 1) ends in the box's corner, and
         # on the open quadrant nothing stops it
@@ -182,6 +189,40 @@ class TestGivenTarget:
         # no slope along the gutter, or a target met by more than epsilon: nothing to travel
         assert _slide_direction(np.zeros(2), -1.0, 1e-9, 1e-8, 0.01) is None
         assert _slide_direction(proj, 0.5, 1e-9, 1e-8, 0.01) is None
+
+
+class TestStallSite:
+    """Every way a resolve cycle stops short of its target, as the trace reports it."""
+
+    # from the origin, target row 1 (y >= 1) is reached along row 2 (y <= x + 0.5)
+    # at its vertex with row 0 (y <= 1), the opposed copy of row 1; row 3 is x >= 0.7
+    PAIR = ([[0.0, -1.0], [0.0, 1.0], [1.0, -1.0], [1.0, 0.0]], [-1.0, 1.0, -0.5, 0.7])
+
+    def test_full_gutter_after_an_equality_switch_has_no_slope_at_cycle_start(self):
+        # the switch pins rows 0, 1 and 2 at (0.5, 1); the next cycle's target, row 3,
+        # starts with n gutter rows and no direction, which is NO_SLOPE, not GUTTER_FULL
+        lp = make_lp(*self.PAIR)
+        events = []
+        result = solve_feasibility(lp, CFG, trace=events.append)
+        assert kinds(events)[-5:] == [EventKind.GUTTER_APPEND, EventKind.GUTTER_FULL,
+                                      EventKind.EQUALITY_SWITCH, EventKind.SELECT_TARGET,
+                                      EventKind.STALL]
+        assert events[-1].detail == "no-slope at cycle start"
+        assert events[-1].gutter_indices == (0, 2) and events[-1].dir == (0.0, 0.0)
+        assert result.diagnostics == ("unresolvable constraint 3 (no-slope)",)
+
+    def test_inner_cap_stops_with_a_zero_direction(self):
+        lp = make_lp(*self.PAIR)
+        config = SolverConfig(epsilon=0.01, max_iters=1)
+        for events in (None, []):
+            state = SolverState(p0=np.zeros(2), epsilon=0.01, gutter=GutterBasis(2),
+                                target_index=1)
+            sink = None if events is None else events.append
+            assert resolve_constraint(lp, state, config, sink) is ResolveOutcome.INNER_CAP
+            assert state.inner_iter == config.inner_cap(lp) + 1 == 2
+            assert state.gutter.indices == (2,)
+        assert (events[-1].kind, events[-1].detail) == (EventKind.STALL, "inner-iteration-cap")
+        assert events[-1].dir == (0.0, 0.0) and events[-1].iteration == 2
 
 
 class TestSolveFeasibility:
@@ -675,7 +716,8 @@ def test_rounding_size_move_takes_the_same_center_traced_or_not():
         assert resolve_constraint(lp, state, CFG, sink) is ResolveOutcome.NO_SLOPE
         centers.append(state.p0.tobytes())
     assert centers[0] == centers[1] == np.array([0.0, 1e6]).tobytes()
-    assert kinds(events) == [EventKind.GUTTER_APPEND, EventKind.STALL]
+    assert [(e.kind, e.detail) for e in events] == [(EventKind.GUTTER_APPEND, "plane=1"),
+                                                    (EventKind.STALL, "no-slope")]
 
 
 def _text_and_arrays(family, n, m, seed):
